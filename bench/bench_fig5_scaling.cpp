@@ -62,6 +62,7 @@ int main(int argc, char** argv) {
               "path; paper: db/javac-class benchmarks reach ~7.4x @8 and "
               "~12.1x @16; compress/search stay flat)\n");
   bool ok = maybe_write_jsonl(reg, opt, "fig5_scaling");
-  ok = maybe_write_profile_jsonl(profile_jsonl, opt, "fig5_scaling") && ok;
+  ok = maybe_write(opt.profile_json, opt.profile_json_path,
+                   "BENCH_fig5_scaling_profile.json", profile_jsonl) && ok;
   return ok ? 0 : 1;
 }

@@ -317,13 +317,10 @@ int run_perf_baseline(const SweepOptions& opt) {
       ",\"speedup_vs_ticked\":" + fmt(speedup);
   const std::string jsonl = append_fields(reg.to_jsonl("service"), extras);
 
-  std::FILE* f = std::fopen(opt.json_path.c_str(), "w");
-  if (f == nullptr) {
+  if (!write_jsonl_file(opt.json_path, jsonl)) {
     std::fprintf(stderr, "error: cannot write %s\n", opt.json_path.c_str());
     return 1;
   }
-  std::fwrite(jsonl.data(), 1, jsonl.size(), f);
-  std::fclose(f);
   std::printf("wrote %zu metric record(s) to %s\n", reg.size(),
               opt.json_path.c_str());
 

@@ -16,11 +16,11 @@
 //                 BENCH_<suite>_profile.json; src/profile/)
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -123,40 +123,31 @@ inline MetricsRegistry::Key metrics_key(BenchmarkId id, std::uint32_t cores,
   return key;
 }
 
-/// Writes the registry as BENCH_<suite>.json (or --json=path) when --json
-/// was requested. Returns false after printing a diagnostic on I/O failure,
-/// so callers can turn it into a nonzero exit code.
-inline bool maybe_write_jsonl(const MetricsRegistry& reg, const Options& opt,
-                              const std::string& suite) {
-  if (!opt.json) return true;
-  const std::string path =
-      opt.json_path.empty() ? "BENCH_" + suite + ".json" : opt.json_path;
-  if (!reg.write_jsonl(path, suite)) {
-    std::fprintf(stderr, "error: failed to write %s\n", path.c_str());
+/// Writes `jsonl` to `path` (or `fallback` when empty) if `wanted`.
+/// Returns false after printing a diagnostic on I/O failure, so callers
+/// can turn it into a nonzero exit code.
+inline bool maybe_write(bool wanted, const std::string& path,
+                        const std::string& fallback,
+                        const std::string& jsonl) {
+  if (!wanted) return true;
+  const std::string& out = path.empty() ? fallback : path;
+  if (!write_jsonl_file(out, jsonl)) {
+    std::fprintf(stderr, "error: failed to write %s\n", out.c_str());
     return false;
   }
-  std::printf("\nwrote %zu metric record(s) to %s\n", reg.size(), path.c_str());
+  std::printf("\nwrote %zu record(s) to %s\n",
+              static_cast<std::size_t>(
+                  std::count(jsonl.begin(), jsonl.end(), '\n')),
+              out.c_str());
   return true;
 }
 
-/// Writes pre-rendered hwgc-profile-v1 JSONL when --profile-json was
-/// requested (default path BENCH_<suite>_profile.json). Same error
-/// contract as maybe_write_jsonl.
-inline bool maybe_write_profile_jsonl(const std::string& jsonl,
-                                      const Options& opt,
-                                      const std::string& suite) {
-  if (!opt.profile_json) return true;
-  const std::string path = opt.profile_json_path.empty()
-                               ? "BENCH_" + suite + "_profile.json"
-                               : opt.profile_json_path;
-  std::ofstream f(path, std::ios::binary);
-  if (f) f.write(jsonl.data(), static_cast<std::streamsize>(jsonl.size()));
-  if (!f || !f.flush().good()) {
-    std::fprintf(stderr, "error: failed to write %s\n", path.c_str());
-    return false;
-  }
-  std::printf("wrote profile attribution to %s\n", path.c_str());
-  return true;
+/// Writes the registry as BENCH_<suite>.json (or --json=path) when --json
+/// was requested.
+inline bool maybe_write_jsonl(const MetricsRegistry& reg, const Options& opt,
+                              const std::string& suite) {
+  return maybe_write(opt.json, opt.json_path, "BENCH_" + suite + ".json",
+                     reg.to_jsonl(suite));
 }
 
 }  // namespace hwgc::bench

@@ -1,14 +1,20 @@
 // bench_validate — schema gate for hwgc JSONL metric files.
 //
 // Validates every line of every file named on the command line against the
-// stable schema its "schema" field names: hwgc-bench-v1
-// (telemetry/metrics.hpp) or hwgc-service-v1
-// (service/service_metrics.hpp). Required keys present and correctly
-// typed, fractions within [0, 1], percentile ordering, and — for service
-// records — exact stall accounting (service + queue + stall ==
-// latency_cycles). A heapd artifact carries both sections in one file;
-// lines with an unknown or missing schema are violations. CI runs it over
-// freshly produced BENCH_*.json artifacts so a schema drift fails the
+// stable schema its "schema" field names, one of four:
+//   hwgc-bench-v1    collection-cycle aggregates (telemetry/metrics.hpp)
+//   hwgc-service-v1  request latency + SLO accounting
+//                    (service/service_metrics.hpp)
+//   hwgc-profile-v1  stall attribution + request span trees
+//                    (profile/profile_metrics.hpp)
+//   hwgc-trace-v1    recorded mutator traces (trace/trace_format.hpp)
+// Required keys present and correctly typed (each schema's field table),
+// then the schema's identities: fractions within [0, 1], percentile
+// ordering, exact stall accounting (service + queue + stall ==
+// latency_cycles), attribution sums, unique span ids per file. A heapd
+// artifact carries several sections in one file; lines with an unknown or
+// missing schema are violations. CI and ctest run it over fresh artifacts
+// and the committed BENCH_*.json snapshots, so a schema drift fails the
 // build rather than silently breaking downstream dashboards.
 //
 // Usage: bench_validate FILE [FILE...]

@@ -47,7 +47,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <string>
 #include <thread>
 
@@ -431,12 +430,9 @@ int run_service_mode(const CliOptions& o) {
                 bus.epochs().size(), bus.spans().size(), o.trace_json.c_str());
   }
   if (!o.json_path.empty()) {
-    bool wrote = write_service_jsonl(service, o.json_path, "gc_top");
-    if (wrote && service.profiling()) {
-      wrote = write_profile_jsonl(service, o.json_path, "gc_top",
-                                  /*append=*/true);
-    }
-    if (!wrote) {
+    std::string jsonl = service_report_jsonl(service, "gc_top");
+    if (service.profiling()) jsonl += profile_report_jsonl(service, "gc_top");
+    if (!write_jsonl_file(o.json_path, jsonl)) {
       std::fprintf(stderr, "error: failed to write %s\n", o.json_path.c_str());
       return 1;
     }
@@ -499,23 +495,16 @@ int main(int argc, char** argv) {
     key.scale = 0.0;
     key.seed = o.seed;
     for (const auto& s : rt.gc_history()) reg.record(key, cfg, s);
-    if (!reg.write_jsonl(o.json_path, "gc_top")) {
-      std::fprintf(stderr, "error: failed to write %s\n", o.json_path.c_str());
-      return 1;
-    }
+    std::string jsonl = reg.to_jsonl("gc_top");
     if (o.profile) {
       ProfileAttribution a;
       a.source = "gc_top";
       for (const auto& p : rt.profile_history()) a.add(p);
-      const std::string line = profile_attribution_jsonl(a, "gc_top");
-      std::ofstream f(o.json_path, std::ios::binary | std::ios::app);
-      f.write(line.data(), static_cast<std::streamsize>(line.size()));
-      f.flush();
-      if (!f.good()) {
-        std::fprintf(stderr, "error: failed to write %s\n",
-                     o.json_path.c_str());
-        return 1;
-      }
+      jsonl += profile_attribution_jsonl(a, "gc_top");
+    }
+    if (!write_jsonl_file(o.json_path, jsonl)) {
+      std::fprintf(stderr, "error: failed to write %s\n", o.json_path.c_str());
+      return 1;
     }
     std::printf("wrote %zu aggregated metric record(s)%s to %s\n", reg.size(),
                 o.profile ? " + profile attribution" : "", o.json_path.c_str());

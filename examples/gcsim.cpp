@@ -280,7 +280,7 @@ int main(int argc, char** argv) {
     key.scale = o.scale;
     key.seed = o.seed;
     reg.record(key, o.sim, s);
-    if (!reg.write_jsonl(o.bench_json, "gcsim")) {
+    if (!write_jsonl_file(o.bench_json, reg.to_jsonl("gcsim"))) {
       std::fprintf(stderr, "error: failed to write %s\n", o.bench_json.c_str());
       return 1;
     }

@@ -14,7 +14,7 @@
 //
 // The sweep recipes from EXPERIMENTS.md:
 //   heapd --shards 8 --scheduler proactive --requests 50000 --seed 1
-//   heapd --shards 2,4,8 --scheduler reactive,proactive,pauseless \
+//   heapd --shards 2,4,8 --scheduler reactive,proactive,pauseless
 //         --load 0.5,1.0,2.0 --requests 20000 --json BENCH_heapd.json
 //   heapd --shards 4 --faults 2 --fault-shard 1 --requests 10000
 //
@@ -89,7 +89,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -416,7 +415,7 @@ bool run_config(const Options& o, const ServiceConfig& cfg,
               to_string(cfg.scheduler), cfg.traffic.load, tags.c_str());
   if (o.verbose) {
     for (std::size_t i = 0; i < service.shard_count(); ++i) {
-      char label[16];
+      char label[24];
       std::snprintf(label, sizeof label, "s%zu", i);
       print_stats_row(label, service.shard_stats(i));
       if (service.resilient()) {
@@ -484,10 +483,11 @@ bool run_config(const Options& o, const ServiceConfig& cfg,
                 static_cast<unsigned long long>(
                     fleet.checkpoint_digest_failures));
   }
-  std::printf("  verification: %s (oracle on %llu cycles, cross-shard walk "
-              "clean=%s)\n\n",
-              ok ? "OK" : "FAILED",
-              static_cast<unsigned long long>(fleet.collections),
+  const std::string oracle =
+      cfg.oracle ? "oracle on " + std::to_string(fleet.collections) + " cycles"
+                 : std::string("oracle: off");
+  std::printf("  verification: %s (%s, cross-shard walk clean=%s)\n\n",
+              ok ? "OK" : "FAILED", oracle.c_str(),
               mismatches == 0 ? "yes" : "NO");
 
   if (!o.json_path.empty()) {
@@ -592,13 +592,8 @@ int main(int argc, char** argv) {
                 opt.trace_json.c_str());
   }
   if (!opt.json_path.empty()) {
-    std::ofstream f(opt.json_path, std::ios::binary);
-    const std::string bench = registry.to_jsonl("heapd");
-    f.write(bench.data(), static_cast<std::streamsize>(bench.size()));
-    f.write(service_jsonl.data(),
-            static_cast<std::streamsize>(service_jsonl.size()));
-    f.flush();
-    if (!f.good()) {
+    if (!write_jsonl_file(opt.json_path,
+                          registry.to_jsonl("heapd") + service_jsonl)) {
       std::fprintf(stderr, "error: failed to write %s\n",
                    opt.json_path.c_str());
       return 1;
@@ -607,11 +602,7 @@ int main(int argc, char** argv) {
                 registry.size(), opt.json_path.c_str());
   }
   if (!opt.profile_json.empty()) {
-    std::ofstream f(opt.profile_json, std::ios::binary);
-    f.write(profile_jsonl.data(),
-            static_cast<std::streamsize>(profile_jsonl.size()));
-    f.flush();
-    if (!f.good()) {
+    if (!write_jsonl_file(opt.profile_json, profile_jsonl)) {
       std::fprintf(stderr, "error: failed to write %s\n",
                    opt.profile_json.c_str());
       return 1;

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "profile/profile_metrics.hpp"
+#include "service/service_metrics.hpp"
 
 int main(int argc, char** argv) {
   using namespace hwgc;
@@ -55,7 +56,7 @@ int main(int argc, char** argv) {
   bool ok = true;
   for (const std::string& path : files) {
     std::vector<std::string> errors;
-    if (validate_profile_jsonl_file(path, &errors)) {
+    if (validate_metrics_jsonl_file(path, &errors, kProfileSchema)) {
       std::printf("%s: valid hwgc-profile-v1\n", path.c_str());
     } else {
       ok = false;

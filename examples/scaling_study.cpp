@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
                     total);
   }
   if (json) {
-    if (!reg.write_jsonl(json_path, "scaling_study")) {
+    if (!write_jsonl_file(json_path, reg.to_jsonl("scaling_study"))) {
       std::fprintf(stderr, "error: failed to write %s\n", json_path.c_str());
       return 1;
     }

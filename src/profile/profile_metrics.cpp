@@ -1,11 +1,9 @@
 #include "profile/profile_metrics.hpp"
 
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <map>
-
-#include "telemetry/metrics.hpp"
 
 namespace hwgc {
 
@@ -38,113 +36,77 @@ double ProfileAttribution::share(StallClass c) const noexcept {
          static_cast<double>(core_cycles);
 }
 
-std::string profile_attribution_jsonl(const ProfileAttribution& a,
-                                      const std::string& suite) {
-  std::string out = "{\"schema\":\"hwgc-profile-v1\",\"kind\":\"attribution\"";
-  out += ",\"suite\":\"" + suite + "\"";
-  out += ",\"source\":\"" + a.source + "\"";
-  out += ",\"shard\":" + std::to_string(a.shard);
-  out += ",\"cores\":" + std::to_string(a.cores);
-  out += ",\"collections\":" + std::to_string(a.collections);
-  out += ",\"unprofiled\":" + std::to_string(a.unprofiled);
-  out += ",\"total_cycles\":" + std::to_string(a.total_cycles);
-  out += ",\"core_cycles\":" + std::to_string(a.core_cycles);
-  for (std::size_t i = 0; i < kStallClassCount; ++i) {
-    out += ",\"cls_" +
-           std::string(field_suffix(static_cast<StallClass>(i))) +
-           "\":" + std::to_string(a.cls[i]);
-  }
-  for (std::size_t i = 0; i < kStallClassCount; ++i) {
-    out += ",\"crit_" +
-           std::string(field_suffix(static_cast<StallClass>(i))) +
-           "\":" + std::to_string(a.crit[i]);
-  }
-  out += ",\"binding\":\"" + std::string(to_string(a.binding())) + "\"";
-  out += "}\n";
-  return out;
-}
-
-bool known_span_name(const std::string& name) {
-  return name == "request" || name == "admission" || name == "hop" ||
-         name == "queue" || name == "gc-inherited" || name == "gc-own" ||
-         name == "service" || name == "gc-charge" || name == "gc-concurrent";
-}
-
-std::string span_record_jsonl(const SpanRecord& s, const std::string& suite) {
-  std::string out = "{\"schema\":\"hwgc-profile-v1\",\"kind\":\"span\"";
-  out += ",\"suite\":\"" + suite + "\"";
-  out += ",\"shard\":" + std::to_string(s.shard);
-  out += ",\"trace\":" + std::to_string(s.trace);
-  out += ",\"span\":" + std::to_string(s.span);
-  out += ",\"parent\":" + std::to_string(s.parent);
-  out += ",\"name\":\"" + s.name + "\"";
-  out += ",\"begin_cycle\":" + std::to_string(s.begin);
-  out += ",\"end_cycle\":" + std::to_string(s.end);
-  out += ",\"gc_collection\":" + std::to_string(s.gc_collection);
-  out += ",\"gc_cycles\":" + std::to_string(s.gc_cycles);
-  out += "}\n";
-  return out;
-}
-
 namespace {
 
-using Kv = std::vector<std::pair<std::string, std::string>>;
-
-const std::string* find(const Kv& kv, const std::string& key) {
-  for (const auto& [k, v] : kv) {
-    if (k == key) return &v;
-  }
-  return nullptr;
+std::string cls_field(StallClass c) {
+  return "cls_" + std::string(field_suffix(c));
 }
 
-bool set_error(std::string* error, const std::string& msg) {
-  if (error != nullptr) *error = msg;
-  return false;
+std::string crit_field(StallClass c) {
+  return "crit_" + std::string(field_suffix(c));
 }
 
-/// Requires an unquoted (numeric) field and parses it as u64.
-bool req_u64(const Kv& kv, const char* key, std::uint64_t& out,
-             std::string* error) {
-  const std::string* v = find(kv, key);
-  if (v == nullptr) {
-    return set_error(error, std::string("missing field \"") + key + "\"");
-  }
-  if (!v->empty() && v->front() == '"') {
-    return set_error(error, std::string("field \"") + key +
-                                "\" has the wrong type");
-  }
-  out = std::strtoull(v->c_str(), nullptr, 10);
-  return true;
+/// One record plus the suite it is filed under.
+template <class T>
+struct Suited {
+  const T& v;
+  const std::string& suite;
+};
+
+using AttributionRow = Suited<ProfileAttribution>;
+using SpanRow = Suited<SpanRecord>;
+
+// The hwgc-profile-v1 attribution record, in emission order: one cls_ and
+// one crit_ field per StallClass, generated from the enum.
+const JsonRecordTable<AttributionRow>& attribution_table() {
+  using R = AttributionRow;
+  static const JsonRecordTable<R> table = [] {
+    JsonRecordTable<R> t;
+    t.constant("schema", std::string(kProfileSchema))
+        .constant("kind", "attribution")
+        .str("suite", [](const R& r) { return r.suite; })
+        .str("source", [](const R& r) { return r.v.source; })
+        .i64("shard", [](const R& r) { return r.v.shard; })
+        .u64("cores", [](const R& r) { return r.v.cores; })
+        .u64("collections", [](const R& r) { return r.v.collections; })
+        .u64("unprofiled", [](const R& r) { return r.v.unprofiled; })
+        .u64("total_cycles", [](const R& r) { return r.v.total_cycles; })
+        .u64("core_cycles", [](const R& r) { return r.v.core_cycles; });
+    for (std::size_t i = 0; i < kStallClassCount; ++i) {
+      t.u64(cls_field(static_cast<StallClass>(i)),
+            [i](const R& r) { return r.v.cls[i]; });
+    }
+    for (std::size_t i = 0; i < kStallClassCount; ++i) {
+      t.u64(crit_field(static_cast<StallClass>(i)),
+            [i](const R& r) { return r.v.crit[i]; });
+    }
+    t.str("binding",
+          [](const R& r) { return std::string(to_string(r.v.binding())); });
+    return t;
+  }();
+  return table;
 }
 
-/// Same, but the field may be a (small) negative sentinel.
-bool req_i64(const Kv& kv, const char* key, long long& out,
-             std::string* error) {
-  const std::string* v = find(kv, key);
-  if (v == nullptr) {
-    return set_error(error, std::string("missing field \"") + key + "\"");
-  }
-  if (!v->empty() && v->front() == '"') {
-    return set_error(error, std::string("field \"") + key +
-                                "\" has the wrong type");
-  }
-  out = std::strtoll(v->c_str(), nullptr, 10);
-  return true;
-}
-
-/// Requires a quoted field and strips the quotes.
-bool req_str(const Kv& kv, const char* key, std::string& out,
-             std::string* error) {
-  const std::string* v = find(kv, key);
-  if (v == nullptr) {
-    return set_error(error, std::string("missing field \"") + key + "\"");
-  }
-  if (v->size() < 2 || v->front() != '"' || v->back() != '"') {
-    return set_error(error, std::string("field \"") + key +
-                                "\" has the wrong type");
-  }
-  out = v->substr(1, v->size() - 2);
-  return true;
+// The hwgc-profile-v1 span record, in emission order.
+const JsonRecordTable<SpanRow>& span_table() {
+  using R = SpanRow;
+  static const JsonRecordTable<R> table = [] {
+    JsonRecordTable<R> t;
+    t.constant("schema", std::string(kProfileSchema))
+        .constant("kind", "span")
+        .str("suite", [](const R& r) { return r.suite; })
+        .i64("shard", [](const R& r) { return r.v.shard; })
+        .u64("trace", [](const R& r) { return r.v.trace; })
+        .u64("span", [](const R& r) { return r.v.span; })
+        .u64("parent", [](const R& r) { return r.v.parent; })
+        .str("name", [](const R& r) { return r.v.name; })
+        .u64("begin_cycle", [](const R& r) { return r.v.begin; })
+        .u64("end_cycle", [](const R& r) { return r.v.end; })
+        .i64("gc_collection", [](const R& r) { return r.v.gc_collection; })
+        .u64("gc_cycles", [](const R& r) { return r.v.gc_cycles; });
+    return t;
+  }();
+  return table;
 }
 
 bool known_class_name(const std::string& name) {
@@ -154,76 +116,55 @@ bool known_class_name(const std::string& name) {
   return false;
 }
 
-bool validate_attribution(const Kv& kv, std::string* error) {
-  std::string source;
-  long long shard = 0;
-  std::uint64_t cores = 0, collections = 0, unprofiled = 0;
-  std::uint64_t total_cycles = 0, core_cycles = 0;
-  if (!req_str(kv, "source", source, error)) return false;
-  if (!req_i64(kv, "shard", shard, error)) return false;
-  if (!req_u64(kv, "cores", cores, error)) return false;
-  if (!req_u64(kv, "collections", collections, error)) return false;
-  if (!req_u64(kv, "unprofiled", unprofiled, error)) return false;
-  if (!req_u64(kv, "total_cycles", total_cycles, error)) return false;
-  if (!req_u64(kv, "core_cycles", core_cycles, error)) return false;
-  if (shard < -1) return set_error(error, "shard must be >= -1");
-  if (unprofiled > collections) {
+/// Semantic checks of an attribution record that passed its table.
+bool check_attribution(const JsonKv& kv, std::string* error) {
+  const auto u64 = [&](const std::string& key) { return *req_u64(kv, key); };
+  if (*req_i64(kv, "shard") < -1) {
+    return set_error(error, "shard must be >= -1");
+  }
+  if (u64("unprofiled") > u64("collections")) {
     return set_error(error, "unprofiled exceeds collections");
   }
-  std::uint64_t cls_sum = 0, crit_sum = 0;
-  std::uint64_t crit[kStallClassCount] = {};
+  std::uint64_t cls[kStallClassCount] = {}, crit[kStallClassCount] = {};
+  std::uint64_t crit_max = 0;
   for (std::size_t i = 0; i < kStallClassCount; ++i) {
-    const std::string suffix(field_suffix(static_cast<StallClass>(i)));
-    std::uint64_t v = 0;
-    if (!req_u64(kv, ("cls_" + suffix).c_str(), v, error)) return false;
-    cls_sum += v;
-    if (!req_u64(kv, ("crit_" + suffix).c_str(), v, error)) return false;
-    crit[i] = v;
-    crit_sum += v;
+    cls[i] = u64(cls_field(static_cast<StallClass>(i)));
+    crit[i] = u64(crit_field(static_cast<StallClass>(i)));
+    crit_max = std::max(crit_max, crit[i]);
   }
-  if (cls_sum != core_cycles) {
+  if (!sums_to(cls, kStallClassCount, u64("core_cycles"))) {
     return set_error(error,
                      "attribution shares do not sum to the total: "
                      "sum(cls_*) != core_cycles");
   }
-  if (crit_sum != total_cycles) {
+  if (!sums_to(crit, kStallClassCount, u64("total_cycles"))) {
     return set_error(error,
                      "critical-path shares do not sum to the total: "
                      "sum(crit_*) != total_cycles");
   }
-  std::string binding;
-  if (!req_str(kv, "binding", binding, error)) return false;
+  const std::string binding = *req_str(kv, "binding");
   if (!known_class_name(binding)) {
     return set_error(error, "unknown stall class \"" + binding + "\"");
   }
-  std::uint64_t crit_binding = 0, crit_max = 0;
   for (std::size_t i = 0; i < kStallClassCount; ++i) {
-    if (binding == to_string(static_cast<StallClass>(i))) {
-      crit_binding = crit[i];
+    if (binding == to_string(static_cast<StallClass>(i)) &&
+        crit[i] != crit_max) {
+      return set_error(error,
+                       "binding class is not the critical-path maximum");
     }
-    if (crit[i] > crit_max) crit_max = crit[i];
-  }
-  if (crit_binding != crit_max) {
-    return set_error(error, "binding class is not the critical-path maximum");
   }
   return true;
 }
 
-bool validate_span(const Kv& kv, std::string* error) {
-  long long shard = 0, gc_collection = 0;
-  std::uint64_t trace = 0, span = 0, parent = 0;
-  std::uint64_t begin = 0, end = 0, gc_cycles = 0;
-  std::string name;
-  if (!req_i64(kv, "shard", shard, error)) return false;
-  if (!req_u64(kv, "trace", trace, error)) return false;
-  if (!req_u64(kv, "span", span, error)) return false;
-  if (!req_u64(kv, "parent", parent, error)) return false;
-  if (!req_str(kv, "name", name, error)) return false;
-  if (!req_u64(kv, "begin_cycle", begin, error)) return false;
-  if (!req_u64(kv, "end_cycle", end, error)) return false;
-  if (!req_i64(kv, "gc_collection", gc_collection, error)) return false;
-  if (!req_u64(kv, "gc_cycles", gc_cycles, error)) return false;
-  if (shard < 0) return set_error(error, "span shard must be >= 0");
+/// Semantic checks of a span record that passed its table.
+bool check_span(const JsonKv& kv, std::string* error) {
+  const auto u64 = [&](const char* key) { return *req_u64(kv, key); };
+  const std::uint64_t span = u64("span"), parent = u64("parent");
+  const std::int64_t gc_collection = *req_i64(kv, "gc_collection");
+  const std::string name = *req_str(kv, "name");
+  if (*req_i64(kv, "shard") < 0) {
+    return set_error(error, "span shard must be >= 0");
+  }
   if (span == 0) return set_error(error, "span ids are 1-based");
   if (parent >= span) {
     return set_error(error, "span parent must precede the span");
@@ -234,7 +175,7 @@ bool validate_span(const Kv& kv, std::string* error) {
   if (!known_span_name(name)) {
     return set_error(error, "unknown span name \"" + name + "\"");
   }
-  if (begin > end) {
+  if (u64("begin_cycle") > u64("end_cycle")) {
     return set_error(error, "span cycle range out of order (begin > end)");
   }
   if (gc_collection < -1) {
@@ -249,71 +190,52 @@ bool validate_span(const Kv& kv, std::string* error) {
 
 }  // namespace
 
+std::string profile_attribution_jsonl(const ProfileAttribution& a,
+                                      const std::string& suite) {
+  std::string out;
+  attribution_table().render({a, suite}, out);
+  return out;
+}
+
+bool known_span_name(const std::string& name) {
+  return name == "request" || name == "admission" || name == "hop" ||
+         name == "queue" || name == "gc-inherited" || name == "gc-own" ||
+         name == "service" || name == "gc-charge" || name == "gc-concurrent";
+}
+
+std::string span_record_jsonl(const SpanRecord& s, const std::string& suite) {
+  std::string out;
+  span_table().render({s, suite}, out);
+  return out;
+}
+
+const std::vector<JsonField>& attribution_record_fields() {
+  return attribution_table().fields();
+}
+
+const std::vector<JsonField>& span_record_fields() {
+  return span_table().fields();
+}
+
 bool validate_profile_jsonl_line(const std::string& line, std::string* error) {
-  Kv kv;
+  JsonKv kv;
   if (!parse_flat_json_object(line, kv, error)) return false;
-  std::string schema, kind;
-  if (!req_str(kv, "schema", schema, error)) return false;
-  if (schema != "hwgc-profile-v1") {
+  const auto schema = req_str(kv, "schema", error);
+  if (!schema) return false;
+  if (*schema != kProfileSchema) {
     return set_error(error, "schema is not hwgc-profile-v1");
   }
-  if (!req_str(kv, "kind", kind, error)) return false;
-  std::string suite;
-  if (!req_str(kv, "suite", suite, error)) return false;
-  if (kind == "attribution") return validate_attribution(kv, error);
-  if (kind == "span") return validate_span(kv, error);
-  return set_error(error, "unknown record kind \"" + kind + "\"");
-}
-
-bool ProfileSpanChecker::check(const std::string& line, std::string* error) {
-  if (line.find("\"schema\":\"hwgc-profile-v1\"") == std::string::npos ||
-      line.find("\"kind\":\"span\"") == std::string::npos) {
-    return true;
+  const auto kind = req_str(kv, "kind", error);
+  if (!kind) return false;
+  if (*kind == "attribution") {
+    return check_fields(kv, attribution_record_fields(), error) &&
+           check_attribution(kv, error);
   }
-  Kv kv;
-  std::string err;
-  if (!parse_flat_json_object(line, kv, &err)) return true;  // line check
-  std::uint64_t trace = 0, span = 0;
-  if (!req_u64(kv, "trace", trace, &err)) return true;
-  if (!req_u64(kv, "span", span, &err)) return true;
-  const std::string key =
-      std::to_string(trace) + "/" + std::to_string(span);
-  if (!seen_.insert(key).second) {
-    return set_error(error, "duplicate span id " + std::to_string(span) +
-                                " in trace " + std::to_string(trace));
+  if (*kind == "span") {
+    return check_fields(kv, span_record_fields(), error) &&
+           check_span(kv, error);
   }
-  return true;
-}
-
-bool validate_profile_jsonl_file(const std::string& path,
-                                 std::vector<std::string>* errors) {
-  std::ifstream f(path);
-  if (!f) {
-    if (errors != nullptr) errors->push_back("cannot open " + path);
-    return false;
-  }
-  std::string line;
-  std::size_t lineno = 0, records = 0;
-  bool ok = true;
-  ProfileSpanChecker spans;
-  while (std::getline(f, line)) {
-    ++lineno;
-    if (line.empty()) continue;
-    ++records;
-    std::string err;
-    if (!validate_profile_jsonl_line(line, &err) ||
-        !spans.check(line, &err)) {
-      ok = false;
-      if (errors != nullptr) {
-        errors->push_back(path + ":" + std::to_string(lineno) + ": " + err);
-      }
-    }
-  }
-  if (records == 0) {
-    ok = false;
-    if (errors != nullptr) errors->push_back(path + ": no records");
-  }
-  return ok;
+  return set_error(error, "unknown record kind \"" + *kind + "\"");
 }
 
 namespace {
@@ -334,37 +256,34 @@ bool load_attributions(const std::string& path,
   }
   std::string line;
   while (std::getline(f, line)) {
-    if (line.find("\"schema\":\"hwgc-profile-v1\"") == std::string::npos ||
-        line.find("\"kind\":\"attribution\"") == std::string::npos) {
+    if (line.empty()) continue;
+    // The record kind is the parsed value the validator dispatches on, so
+    // a line is read with exactly the table it was checked against.
+    JsonKv kv;
+    std::string err;
+    if (parse_flat_json_object(line, kv, &err) &&
+        (req_str(kv, "schema") != kProfileSchema ||
+         req_str(kv, "kind") != "attribution")) {
       continue;
     }
-    std::string err;
     if (!validate_profile_jsonl_line(line, &err)) {
       if (errors != nullptr) errors->push_back(path + ": " + err);
       return false;
     }
-    Kv kv;
-    (void)parse_flat_json_object(line, kv, nullptr);
-    std::string suite, source, binding;
-    long long shard = 0;
-    std::uint64_t core_cycles = 0;
-    (void)req_str(kv, "suite", suite, nullptr);
-    (void)req_str(kv, "source", source, nullptr);
-    (void)req_i64(kv, "shard", shard, nullptr);
-    (void)req_u64(kv, "core_cycles", core_cycles, nullptr);
-    (void)req_str(kv, "binding", binding, nullptr);
+    const std::uint64_t core_cycles = *req_u64(kv, "core_cycles");
     BaselineRecord rec;
-    rec.binding = binding;
+    rec.binding = *req_str(kv, "binding");
     for (std::size_t i = 0; i < kStallClassCount; ++i) {
-      const std::string key =
-          "cls_" + std::string(field_suffix(static_cast<StallClass>(i)));
-      std::uint64_t v = 0;
-      (void)req_u64(kv, key.c_str(), v, nullptr);
+      const std::uint64_t v =
+          *req_u64(kv, cls_field(static_cast<StallClass>(i)));
       rec.share[i] = core_cycles == 0
                          ? 0.0
                          : static_cast<double>(v) /
                                static_cast<double>(core_cycles);
     }
+    const std::string suite = *req_str(kv, "suite");
+    const std::string source = *req_str(kv, "source");
+    const std::int64_t shard = *req_i64(kv, "shard");
     out[suite + "/" + source + "/shard" + std::to_string(shard)] = rec;
   }
   return true;

@@ -20,9 +20,12 @@
 //     pairs are a *file-level* violation (ProfileSpanChecker).
 //
 // Flat and append-only exactly like hwgc-bench-v1 / hwgc-service-v1:
-// tooling may add fields, never rename or remove them. bench_validate
-// dispatches per line on the "schema" field, so one heapd output file can
-// carry bench + service + profile sections.
+// tooling may add fields, never rename or remove them. Each kind's one
+// declaration is its field table (attribution_record_fields(),
+// span_record_fields()), which both the writer and the validator's
+// presence-and-type pass follow. bench_validate dispatches per line on the
+// "schema" field, so one heapd output file can carry bench + service +
+// profile sections.
 //
 // The regression comparator (compare_profile_baselines) pairs attribution
 // records across two files by (suite, source, shard) and fails when any
@@ -33,12 +36,15 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_set>
+#include <string_view>
 #include <vector>
 
 #include "profile/cycle_profiler.hpp"
+#include "telemetry/jsonl.hpp"
 
 namespace hwgc {
+
+constexpr std::string_view kProfileSchema = "hwgc-profile-v1";
 
 /// Stall-attribution aggregate over many collections of one source.
 struct ProfileAttribution {
@@ -87,23 +93,15 @@ bool known_span_name(const std::string& name);
 /// One span record as a JSONL line (with trailing newline).
 std::string span_record_jsonl(const SpanRecord& s, const std::string& suite);
 
-/// Validates one hwgc-profile-v1 line (either kind), stateless.
+/// The field tables of the two record kinds (the writers' and validator's
+/// one declaration of each).
+const std::vector<JsonField>& attribution_record_fields();
+const std::vector<JsonField>& span_record_fields();
+
+/// Validates one hwgc-profile-v1 line (either kind), stateless; duplicate
+/// span ids are the file-level ProfileSpanChecker's job
+/// (telemetry/jsonl.hpp).
 bool validate_profile_jsonl_line(const std::string& line, std::string* error);
-
-/// Cross-line state for file-level span checks: duplicate (trace, span)
-/// ids. Feed every line of a file in order; non-span lines are ignored.
-class ProfileSpanChecker {
- public:
-  bool check(const std::string& line, std::string* error);
-
- private:
-  std::unordered_set<std::string> seen_;  ///< "trace/span" keys
-};
-
-/// Validates a whole file of hwgc-profile-v1 records (per-line schema +
-/// file-level span checks).
-bool validate_profile_jsonl_file(const std::string& path,
-                                 std::vector<std::string>* errors);
 
 /// Regression comparator: pairs attribution records of `base_path` and
 /// `cur_path` by (suite, source, shard) and fails on a missing/extra

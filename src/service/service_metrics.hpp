@@ -7,7 +7,9 @@
 // aggregates as hwgc-bench-v1 lines and request-latency/SLO accounting as
 // hwgc-service-v1 lines — so validation dispatches per line on the
 // "schema" field (validate_metrics_jsonl_file), which is what the
-// bench_validate gate runs in CI.
+// bench_validate gate runs in CI. The schema's one declaration is the field
+// table behind service_record_fields(): the writer renders it and the
+// validator's presence-and-type pass walks it.
 //
 // Schema invariants enforced by the validator:
 //   * field presence and types;
@@ -19,33 +21,34 @@
 //     identities exact under failover retries and load shedding);
 //   * crashes <= failed, restores <= quarantines, and health is one of
 //     healthy / degraded / quarantined / restoring;
-//   * scheduled_collections <= collections, slo_violations <= completed.
+//   * scheduled_collections <= collections, slo_violations <= completed;
+//   * gc_concurrent_cycles <= service_cycles.
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "service/heap_service.hpp"
+#include "telemetry/jsonl.hpp"
 
 namespace hwgc {
 
+constexpr std::string_view kServiceSchema = "hwgc-service-v1";
+
 /// All shard records + the fleet record as JSONL, one "hwgc-service-v1"
 /// object per line (deterministic byte-for-byte for a deterministic run).
+/// Write it, alone or concatenated with other sections, with
+/// write_jsonl_file.
 std::string service_report_jsonl(const HeapService& service,
                                  const std::string& suite);
 
-/// Appends service_report_jsonl() to `path` when `append` (so one file can
-/// hold an hwgc-bench-v1 section followed by the service section);
-/// truncates otherwise. Returns false on I/O failure.
-bool write_service_jsonl(const HeapService& service, const std::string& path,
-                         const std::string& suite, bool append = false);
+/// The hwgc-service-v1 field table (the writer's and validator's one
+/// declaration of the schema).
+const std::vector<JsonField>& service_record_fields();
 
 /// Validates one JSONL line against the hwgc-service-v1 schema.
 bool validate_service_jsonl_line(const std::string& line, std::string* error);
-
-/// Validates a whole file of hwgc-service-v1 records.
-bool validate_service_jsonl_file(const std::string& path,
-                                 std::vector<std::string>* errors);
 
 /// The service's hwgc-profile-v1 section (cfg.profile.enabled runs): one
 /// attribution record per shard followed by the span trees of the fleet's
@@ -54,17 +57,15 @@ bool validate_service_jsonl_file(const std::string& path,
 std::string profile_report_jsonl(const HeapService& service,
                                  const std::string& suite);
 
-/// Appends (or writes) profile_report_jsonl() to `path`, exactly like
-/// write_service_jsonl. Returns false on I/O failure.
-bool write_profile_jsonl(const HeapService& service, const std::string& path,
-                         const std::string& suite, bool append = false);
-
-/// Mixed-schema gate: validates every line of `path` against the schema its
-/// "schema" field names (hwgc-bench-v1, hwgc-service-v1 or
-/// hwgc-profile-v1); unknown or missing schemas are violations, and
-/// duplicate profile span ids are caught file-wide. This is what
-/// examples/bench_validate runs over CI artifacts.
+/// The file gate over every hwgc schema: validates each line of `path`
+/// against the schema its "schema" field names (hwgc-bench-v1,
+/// hwgc-service-v1, hwgc-profile-v1 or hwgc-trace-v1); unknown or missing
+/// schemas are violations, and duplicate profile span ids are caught
+/// file-wide. A non-empty `only` validates every line against that one
+/// schema instead. This is what examples/bench_validate runs over CI
+/// artifacts and committed snapshots.
 bool validate_metrics_jsonl_file(const std::string& path,
-                                 std::vector<std::string>* errors);
+                                 std::vector<std::string>* errors,
+                                 std::string_view only = {});
 
 }  // namespace hwgc

@@ -1,21 +1,10 @@
 #include "telemetry/metrics.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <utility>
 
 namespace hwgc {
 
 namespace {
-
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.6f", v);
-  return buf;
-}
 
 Cycle percentile(const std::vector<Cycle>& sorted, double p) {
   if (sorted.empty()) return 0;
@@ -27,7 +16,7 @@ Cycle percentile(const std::vector<Cycle>& sorted, double p) {
 
 std::string baseline_key(const std::string& benchmark, double scale,
                          std::uint64_t seed) {
-  return benchmark + "|" + fmt_double(scale) + "|" + std::to_string(seed);
+  return benchmark + "|" + fmt_fixed6(scale) + "|" + std::to_string(seed);
 }
 
 /// Stall-reason JSONL field name: "stall_scan_lock" etc.
@@ -37,6 +26,73 @@ std::string stall_field(StallReason r) {
     name += c == '-' ? '_' : c;
   }
   return name;
+}
+
+/// One hwgc-bench-v1 record: a key's aggregate plus the derived sample
+/// statistics.
+struct BenchRow {
+  const std::string& suite;
+  const MetricsRegistry::Key& key;
+  const MetricsRegistry::Aggregate& a;
+  std::vector<Cycle> sorted;  ///< the key's cycle samples, ascending
+  double mean = 0.0;
+  double speedup = 0.0;
+
+  /// Mean of a per-sample sum (0 without samples).
+  double per_sample(double sum) const {
+    return sorted.empty() ? 0.0 : sum / static_cast<double>(sorted.size());
+  }
+};
+
+// The hwgc-bench-v1 schema, in emission order. New fields may be appended
+// (and committed snapshots regenerated); none may be renamed or removed.
+const JsonRecordTable<BenchRow>& bench_table() {
+  using R = BenchRow;
+  static const JsonRecordTable<R> table = [] {
+    JsonRecordTable<R> t;
+    t.constant("schema", std::string(kBenchSchema))
+        .str("suite", [](const R& r) { return r.suite; })
+        .str("benchmark", [](const R& r) { return r.key.benchmark; })
+        .u64("cores", [](const R& r) { return r.key.cores; })
+        .fixed6("scale", [](const R& r) { return r.key.scale; })
+        .u64("seed", [](const R& r) { return r.key.seed; })
+        .str("config", [](const R& r) { return r.a.config; })
+        .u64("samples", [](const R& r) { return r.sorted.size(); })
+        .u64("cycles_min",
+             [](const R& r) { return r.sorted.empty() ? 0 : r.sorted.front(); })
+        .u64("cycles_p50",
+             [](const R& r) { return percentile(r.sorted, 0.50); })
+        .fixed6("cycles_mean", [](const R& r) { return r.mean; })
+        .u64("cycles_p99",
+             [](const R& r) { return percentile(r.sorted, 0.99); })
+        .u64("cycles_max",
+             [](const R& r) { return r.sorted.empty() ? 0 : r.sorted.back(); })
+        .fixed6("speedup_vs_sequential", [](const R& r) { return r.speedup; })
+        .fixed6("worklist_empty_fraction",
+                [](const R& r) { return r.per_sample(r.a.worklist_empty_sum); })
+        .u64("drain_cycles", [](const R& r) { return r.a.drain_cycles; })
+        .u64("objects_copied", [](const R& r) { return r.a.objects_copied; })
+        .u64("words_copied", [](const R& r) { return r.a.words_copied; })
+        .u64("pointers_forwarded",
+             [](const R& r) { return r.a.pointers_forwarded; })
+        .u64("mem_requests", [](const R& r) { return r.a.mem_requests; })
+        .u64("fifo_hits", [](const R& r) { return r.a.fifo_hits; })
+        .u64("fifo_misses", [](const R& r) { return r.a.fifo_misses; })
+        .u64("fifo_overflows", [](const R& r) { return r.a.fifo_overflows; })
+        .u64("faults_fired", [](const R& r) { return r.a.faults_fired; });
+    for (std::size_t i = 0; i < kStallReasonCount; ++i) {
+      if (static_cast<StallReason>(i) == StallReason::kNone) continue;
+      t.fixed6(stall_field(static_cast<StallReason>(i)),
+               [i](const R& r) { return r.per_sample(r.a.stall_sum[i]); });
+    }
+    t.u64("snapshot_stores", [](const R& r) { return r.a.snapshot_stores; })
+        .u64("reconciliation_repairs",
+             [](const R& r) { return r.a.reconciliation_repairs; })
+        .u64("safe_point_waits",
+             [](const R& r) { return r.a.safe_point_waits; });
+    return t;
+  }();
+  return table;
 }
 
 }  // namespace
@@ -89,277 +145,48 @@ double MetricsRegistry::baseline_mean(const Key& key) const {
 std::string MetricsRegistry::to_jsonl(const std::string& suite) const {
   std::string out;
   for (const auto& [key, a] : aggregates_) {
-    std::vector<Cycle> sorted = a.cycle_samples;
-    std::sort(sorted.begin(), sorted.end());
-    const double n = static_cast<double>(sorted.size());
-    double mean = 0.0;
-    for (Cycle c : sorted) mean += static_cast<double>(c);
-    mean = sorted.empty() ? 0.0 : mean / n;
+    BenchRow row{suite, key, a, a.cycle_samples};
+    std::sort(row.sorted.begin(), row.sorted.end());
+    double sum = 0.0;
+    for (Cycle c : row.sorted) sum += static_cast<double>(c);
+    row.mean = row.per_sample(sum);
     const double base = baseline_mean(key);
-    const double speedup = mean > 0.0 && base > 0.0 ? base / mean : 0.0;
-
-    out += "{\"schema\":\"hwgc-bench-v1\"";
-    out += ",\"suite\":\"" + suite + "\"";
-    out += ",\"benchmark\":\"" + key.benchmark + "\"";
-    out += ",\"cores\":" + std::to_string(key.cores);
-    out += ",\"scale\":" + fmt_double(key.scale);
-    out += ",\"seed\":" + std::to_string(key.seed);
-    out += ",\"config\":\"" + a.config + "\"";
-    out += ",\"samples\":" + std::to_string(sorted.size());
-    out += ",\"cycles_min\":" +
-           std::to_string(sorted.empty() ? 0 : sorted.front());
-    out += ",\"cycles_p50\":" + std::to_string(percentile(sorted, 0.50));
-    out += ",\"cycles_mean\":" + fmt_double(mean);
-    out += ",\"cycles_p99\":" + std::to_string(percentile(sorted, 0.99));
-    out += ",\"cycles_max\":" +
-           std::to_string(sorted.empty() ? 0 : sorted.back());
-    out += ",\"speedup_vs_sequential\":" + fmt_double(speedup);
-    out += ",\"worklist_empty_fraction\":" +
-           fmt_double(sorted.empty() ? 0.0 : a.worklist_empty_sum / n);
-    out += ",\"drain_cycles\":" + std::to_string(a.drain_cycles);
-    out += ",\"objects_copied\":" + std::to_string(a.objects_copied);
-    out += ",\"words_copied\":" + std::to_string(a.words_copied);
-    out += ",\"pointers_forwarded\":" + std::to_string(a.pointers_forwarded);
-    out += ",\"mem_requests\":" + std::to_string(a.mem_requests);
-    out += ",\"fifo_hits\":" + std::to_string(a.fifo_hits);
-    out += ",\"fifo_misses\":" + std::to_string(a.fifo_misses);
-    out += ",\"fifo_overflows\":" + std::to_string(a.fifo_overflows);
-    out += ",\"faults_fired\":" + std::to_string(a.faults_fired);
-    for (std::size_t r = 0; r < kStallReasonCount; ++r) {
-      if (static_cast<StallReason>(r) == StallReason::kNone) continue;
-      out += ",\"" + stall_field(static_cast<StallReason>(r)) +
-             "\":" + fmt_double(sorted.empty() ? 0.0 : a.stall_sum[r] / n);
-    }
-    out += ",\"snapshot_stores\":" + std::to_string(a.snapshot_stores);
-    out += ",\"reconciliation_repairs\":" +
-           std::to_string(a.reconciliation_repairs);
-    out += ",\"safe_point_waits\":" + std::to_string(a.safe_point_waits);
-    out += "}\n";
+    row.speedup = row.mean > 0.0 && base > 0.0 ? base / row.mean : 0.0;
+    bench_table().render(row, out);
   }
   return out;
 }
 
-bool MetricsRegistry::write_jsonl(const std::string& path,
-                                  const std::string& suite) const {
-  std::ofstream f(path, std::ios::binary);
-  if (!f) return false;
-  const std::string jsonl = to_jsonl(suite);
-  f.write(jsonl.data(), static_cast<std::streamsize>(jsonl.size()));
-  f.flush();
-  return f.good();
+const std::vector<JsonField>& bench_record_fields() {
+  return bench_table().fields();
 }
-
-// --- schema validation ------------------------------------------------------
-
-/// Minimal scanner for the flat one-level JSON objects the registry emits:
-/// {"key":value,...} with string or number values, no nesting. Returns
-/// false with a diagnostic on malformed input.
-bool parse_flat_json_object(
-    const std::string& line,
-    std::vector<std::pair<std::string, std::string>>& kv, std::string* error) {
-  std::size_t i = 0;
-  const auto fail = [&](const std::string& msg) {
-    if (error != nullptr) {
-      *error = msg + " at offset " + std::to_string(i);
-    }
-    return false;
-  };
-  const auto skip_ws = [&] {
-    while (i < line.size() && std::isspace(static_cast<unsigned char>(line[i]))) ++i;
-  };
-  const auto parse_string = [&](std::string& out) {
-    if (line[i] != '"') return false;
-    ++i;
-    out.clear();
-    while (i < line.size() && line[i] != '"') {
-      if (line[i] == '\\') {
-        if (i + 1 >= line.size()) return false;
-        out += line[i + 1];
-        i += 2;
-      } else {
-        out += line[i++];
-      }
-    }
-    if (i >= line.size()) return false;
-    ++i;  // closing quote
-    return true;
-  };
-
-  skip_ws();
-  if (i >= line.size() || line[i] != '{') return fail("expected '{'");
-  ++i;
-  skip_ws();
-  if (i < line.size() && line[i] == '}') return true;  // empty object
-  while (true) {
-    skip_ws();
-    std::string key;
-    if (i >= line.size() || !parse_string(key)) return fail("expected key string");
-    skip_ws();
-    if (i >= line.size() || line[i] != ':') return fail("expected ':'");
-    ++i;
-    skip_ws();
-    std::string value;
-    if (i < line.size() && line[i] == '"') {
-      if (!parse_string(value)) return fail("unterminated string value");
-      value = "\"" + value + "\"";  // marker: string-typed
-    } else {
-      const std::size_t start = i;
-      while (i < line.size() && (std::isdigit(static_cast<unsigned char>(line[i])) ||
-                                 line[i] == '-' || line[i] == '+' ||
-                                 line[i] == '.' || line[i] == 'e' ||
-                                 line[i] == 'E')) {
-        ++i;
-      }
-      if (i == start) return fail("expected number");
-      value = line.substr(start, i - start);
-    }
-    kv.emplace_back(key, value);
-    skip_ws();
-    if (i >= line.size()) return fail("unterminated object");
-    if (line[i] == ',') {
-      ++i;
-      continue;
-    }
-    if (line[i] == '}') break;
-    return fail("expected ',' or '}'");
-  }
-  return true;
-}
-
-namespace {
-
-struct FieldSpec {
-  const char* name;
-  bool is_string;
-};
-
-// The hwgc-bench-v1 schema: required fields and their types, in emission
-// order. New fields may be appended; none may be renamed or removed.
-constexpr FieldSpec kSchemaV1[] = {
-    {"schema", true},       {"suite", true},
-    {"benchmark", true},    {"cores", false},
-    {"scale", false},       {"seed", false},
-    {"config", true},       {"samples", false},
-    {"cycles_min", false},  {"cycles_p50", false},
-    {"cycles_mean", false}, {"cycles_p99", false},
-    {"cycles_max", false},  {"speedup_vs_sequential", false},
-    {"worklist_empty_fraction", false},
-    {"drain_cycles", false},
-    {"objects_copied", false},
-    {"words_copied", false},
-    {"pointers_forwarded", false},
-    {"mem_requests", false},
-    {"fifo_hits", false},
-    {"fifo_misses", false},
-    {"fifo_overflows", false},
-    {"faults_fired", false},
-    {"stall_scan_lock", false},
-    {"stall_free_lock", false},
-    {"stall_header_lock", false},
-    {"stall_body_load", false},
-    {"stall_body_store", false},
-    {"stall_header_load", false},
-    {"stall_header_store", false},
-    {"stall_barrier", false},
-    {"stall_fault", false},
-    {"snapshot_stores", false},
-    {"reconciliation_repairs", false},
-    {"safe_point_waits", false},
-};
-
-}  // namespace
 
 bool validate_bench_jsonl_line(const std::string& line, std::string* error) {
-  std::vector<std::pair<std::string, std::string>> kv;
-  if (!parse_flat_json_object(line, kv, error)) return false;
-  const auto find = [&](const std::string& key) -> const std::string* {
-    for (const auto& [k, v] : kv) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  };
-  for (const FieldSpec& f : kSchemaV1) {
-    const std::string* v = find(f.name);
-    if (v == nullptr) {
-      if (error != nullptr) *error = std::string("missing field \"") + f.name + "\"";
-      return false;
-    }
-    const bool is_string = !v->empty() && v->front() == '"';
-    if (is_string != f.is_string) {
-      if (error != nullptr) {
-        *error = std::string("field \"") + f.name + "\" has the wrong type";
-      }
-      return false;
-    }
-  }
-  if (*find("schema") != "\"hwgc-bench-v1\"") {
-    if (error != nullptr) *error = "schema is not hwgc-bench-v1";
+  JsonKv kv;
+  if (!parse_flat_json_object(line, kv, error) ||
+      !check_fields(kv, bench_record_fields(), error)) {
     return false;
   }
-  const auto num = [&](const char* key) {
-    return std::strtod(find(key)->c_str(), nullptr);
-  };
-  if (num("cores") < 1) {
-    if (error != nullptr) *error = "cores must be >= 1";
-    return false;
-  }
-  if (num("samples") < 1) {
-    if (error != nullptr) *error = "samples must be >= 1";
-    return false;
-  }
-  const double mn = num("cycles_min"), p50 = num("cycles_p50"),
-               p99 = num("cycles_p99"), mx = num("cycles_max");
+  const auto u64 = [&](const char* key) { return *req_u64(kv, key); };
+  if (u64("cores") < 1) return set_error(error, "cores must be >= 1");
+  if (u64("samples") < 1) return set_error(error, "samples must be >= 1");
+  const std::uint64_t mn = u64("cycles_min"), p50 = u64("cycles_p50"),
+                      p99 = u64("cycles_p99"), mx = u64("cycles_max");
   if (!(mn <= p50 && p50 <= p99 && p99 <= mx)) {
-    if (error != nullptr) {
-      *error = "cycle percentiles not ordered (min<=p50<=p99<=max)";
-    }
-    return false;
+    return set_error(error,
+                     "cycle percentiles not ordered (min<=p50<=p99<=max)");
   }
-  const double wef = num("worklist_empty_fraction");
+  const double wef = *req_num(kv, "worklist_empty_fraction");
   if (wef < 0.0 || wef > 1.0) {
-    if (error != nullptr) *error = "worklist_empty_fraction outside [0,1]";
-    return false;
+    return set_error(error, "worklist_empty_fraction outside [0,1]");
   }
   // Pauseless barrier accounting: every reconciliation repair replays a
   // logged mid-cycle store, so repairs can never exceed the stores the
   // barrier diverted.
-  if (num("reconciliation_repairs") > num("snapshot_stores")) {
-    if (error != nullptr) {
-      *error = "reconciliation_repairs exceeds snapshot_stores";
-    }
-    return false;
+  if (u64("reconciliation_repairs") > u64("snapshot_stores")) {
+    return set_error(error, "reconciliation_repairs exceeds snapshot_stores");
   }
   return true;
-}
-
-bool validate_bench_jsonl_file(const std::string& path,
-                               std::vector<std::string>* errors) {
-  std::ifstream f(path);
-  if (!f) {
-    if (errors != nullptr) errors->push_back("cannot open " + path);
-    return false;
-  }
-  std::string line;
-  std::size_t lineno = 0;
-  std::size_t records = 0;
-  bool ok = true;
-  while (std::getline(f, line)) {
-    ++lineno;
-    if (line.empty()) continue;
-    ++records;
-    std::string err;
-    if (!validate_bench_jsonl_line(line, &err)) {
-      ok = false;
-      if (errors != nullptr) {
-        errors->push_back(path + ":" + std::to_string(lineno) + ": " + err);
-      }
-    }
-  }
-  if (records == 0) {
-    ok = false;
-    if (errors != nullptr) errors->push_back(path + ": no records");
-  }
-  return ok;
 }
 
 }  // namespace hwgc

@@ -11,18 +11,20 @@
 //
 // The JSONL schema ("hwgc-bench-v1") is flat and append-only: tooling may
 // add fields, never rename or remove them, so CI regression guards and the
-// BENCH_* trajectory stay parseable forever. validate_bench_jsonl() is the
-// single source of truth for the schema and is enforced in tests and CI.
+// BENCH_* trajectory stay parseable forever. Its one declaration is the
+// field table behind bench_record_fields(): the writer renders it and the
+// validator requires it (telemetry/jsonl.hpp).
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <string>
-#include <utility>
+#include <string_view>
 #include <vector>
 
 #include "sim/config.hpp"
 #include "sim/counters.hpp"
+#include "telemetry/jsonl.hpp"
 
 namespace hwgc {
 
@@ -59,11 +61,7 @@ class MetricsRegistry {
   /// key (deterministic byte-for-byte for a deterministic run).
   std::string to_jsonl(const std::string& suite) const;
 
-  /// Writes to_jsonl() to `path` (conventionally `BENCH_<suite>.json`).
-  /// Returns false on I/O failure.
-  bool write_jsonl(const std::string& path, const std::string& suite) const;
-
- private:
+  /// Running totals of one key's recorded cycles.
   struct Aggregate {
     std::string config;  ///< SimConfig::summary() of the first sample
     std::vector<Cycle> cycle_samples;
@@ -85,28 +83,21 @@ class MetricsRegistry {
     std::uint64_t safe_point_waits = 0;
   };
 
+ private:
   std::map<Key, Aggregate> aggregates_;
   std::map<std::string, double> explicit_baselines_;  ///< serialized key
 
   double baseline_mean(const Key& key) const;
 };
 
-/// Scans one flat one-level JSON object ({"key":value,...}, string or
-/// number values, no nesting) into key/value pairs; string values keep a
-/// leading '"' marker. Shared by the hwgc-bench-v1 validator below and the
-/// hwgc-service-v1 validator (service/service_metrics.hpp). Returns false
-/// with a diagnostic on malformed input.
-bool parse_flat_json_object(
-    const std::string& line,
-    std::vector<std::pair<std::string, std::string>>& kv, std::string* error);
+constexpr std::string_view kBenchSchema = "hwgc-bench-v1";
+
+/// The hwgc-bench-v1 field table: one stall_<reason> number per
+/// StallReason (kNone excepted), generated from the enum.
+const std::vector<JsonField>& bench_record_fields();
 
 /// Validates one JSONL line against the hwgc-bench-v1 schema. Returns true
 /// when the line conforms; otherwise false with a diagnostic in `error`.
 bool validate_bench_jsonl_line(const std::string& line, std::string* error);
-
-/// Validates a whole BENCH_*.json file. Appends one message per violation;
-/// returns true when every line conforms and the file is readable.
-bool validate_bench_jsonl_file(const std::string& path,
-                               std::vector<std::string>* errors);
 
 }  // namespace hwgc

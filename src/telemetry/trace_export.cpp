@@ -26,13 +26,6 @@ void append_escaped(std::string& out, const std::string& s) {
   }
 }
 
-std::string esc(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  append_escaped(out, s);
-  return out;
-}
-
 /// Catapult reserved color name for a span, keyed off its name/category —
 /// this is what makes stall reasons visually distinct in the timeline.
 const char* cname_for(const TelemetrySpan& s) {

@@ -7,7 +7,7 @@
 
 #include "core/schedule_policy.hpp"
 #include "heap/object_model.hpp"
-#include "telemetry/metrics.hpp"
+#include "telemetry/jsonl.hpp"
 
 namespace hwgc {
 
@@ -663,78 +663,70 @@ Trace load_trace(const std::string& path) {
 }
 
 bool validate_trace_jsonl_line(const std::string& line, std::string* error) {
-  std::vector<std::pair<std::string, std::string>> kv;
+  JsonKv kv;
   if (!parse_flat_json_object(line, kv, error)) return false;
-  const auto err = [&](const std::string& msg) {
-    if (error != nullptr) *error = msg;
-    return false;
-  };
-  const auto str_field = [&](const char* key, std::string& out) {
-    const std::string* v = find_key(kv, key);
-    if (v == nullptr || v->empty() || v->front() != '"') return false;
-    out = unquote(*v);
-    return true;
-  };
-  const auto u64_field = [&](const char* key, std::uint64_t& out) {
-    const std::string* v = find_key(kv, key);
-    return v != nullptr && parse_u64_str(*v, out);
-  };
-  std::string schema;
-  if (!str_field("schema", schema) || schema != "hwgc-trace-v1") {
-    return err("missing or wrong \"schema\"");
+  if (req_str(kv, "schema") != "hwgc-trace-v1") {
+    return set_error(error, "missing or wrong \"schema\"");
   }
-  std::string record;
-  if (!str_field("record", record)) return err("missing \"record\"");
-  std::uint64_t u = 0;
-  if (record == "header") {
-    std::string name;
-    if (!str_field("name", name) || name.empty()) {
-      return err("header: missing \"name\"");
+  const auto record = req_str(kv, "record");
+  if (!record) return set_error(error, "missing \"record\"");
+  if (*record == "header") {
+    const auto name = req_str(kv, "name");
+    if (!name || name->empty()) {
+      return set_error(error, "header: missing \"name\"");
     }
-    if (!u64_field("version", u) || u != 1) {
-      return err("header: \"version\" must be 1");
+    if (req_u64(kv, "version") != 1u) {
+      return set_error(error, "header: \"version\" must be 1");
     }
-    if (!u64_field("semispace_words", u) || u == 0) {
-      return err("header: \"semispace_words\" must be a positive number");
+    if (req_u64(kv, "semispace_words").value_or(0) == 0) {
+      return set_error(
+          error, "header: \"semispace_words\" must be a positive number");
     }
-    if (!u64_field("cores", u) || u == 0) {
-      return err("header: \"cores\" must be a positive number");
+    if (req_u64(kv, "cores").value_or(0) == 0) {
+      return set_error(error, "header: \"cores\" must be a positive number");
     }
-    if (!u64_field("fifo", u)) {
-      return err("header: \"fifo\" must be a number");
+    if (!req_u64(kv, "fifo")) {
+      return set_error(error, "header: \"fifo\" must be a number");
     }
-    std::string sched;
+    const auto sched = req_str(kv, "schedule");
     SchedulePolicyKind kind;
-    if (!str_field("schedule", sched) || !parse_schedule_policy(sched, kind)) {
-      return err("header: unknown \"schedule\" policy");
+    if (!sched || !parse_schedule_policy(*sched, kind)) {
+      return set_error(error, "header: unknown \"schedule\" policy");
     }
     for (const char* key : {"schedule_seed", "jitter", "events", "digest"}) {
-      if (!u64_field(key, u)) {
-        return err(std::string("header: \"") + key + "\" must be a number");
+      if (!req_u64(kv, key)) {
+        return set_error(error, std::string("header: \"") + key +
+                                    "\" must be a number");
       }
     }
     for (const char* key : {"subobject", "earlyread"}) {
-      if (!u64_field(key, u) || u > 1) {
-        return err(std::string("header: \"") + key + "\" must be 0 or 1");
+      const auto flag = req_u64(kv, key);
+      if (!flag || *flag > 1) {
+        return set_error(error, std::string("header: \"") + key +
+                                    "\" must be 0 or 1");
       }
     }
     return true;
   }
-  if (record == "op") {
-    if (!u64_field("seq", u)) return err("op: \"seq\" must be a number");
-    std::string kind;
+  if (*record == "op") {
+    if (!req_u64(kv, "seq")) {
+      return set_error(error, "op: \"seq\" must be a number");
+    }
+    const auto kind = req_str(kv, "k");
     TraceOp::Kind k;
-    if (!str_field("k", kind) || !parse_kind(kind, k)) {
-      return err("op: unknown event kind \"" + kind + "\"");
+    if (!kind || !parse_kind(*kind, k)) {
+      return set_error(error, "op: unknown event kind \"" +
+                                  kind.value_or("") + "\"");
     }
     for (const char* key : {"a", "b", "c"}) {
-      if (!u64_field(key, u)) {
-        return err(std::string("op: \"") + key + "\" must be a number");
+      if (!req_u64(kv, key)) {
+        return set_error(error,
+                         std::string("op: \"") + key + "\" must be a number");
       }
     }
     return true;
   }
-  return err("unknown \"record\" type \"" + record + "\"");
+  return set_error(error, "unknown \"record\" type \"" + *record + "\"");
 }
 
 }  // namespace hwgc

@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/config.hpp"
@@ -160,6 +161,8 @@ Trace load_trace(const std::string& path);
 /// the scaled allocations need the room. Throws std::invalid_argument
 /// unless factor > 0; factor == 1 is the identity.
 Trace scale_trace_sizes(const Trace& trace, double factor);
+
+constexpr std::string_view kTraceSchema = "hwgc-trace-v1";
 
 /// Schema gate for one hwgc-trace-v1 JSONL line — same contract as
 /// validate_bench_jsonl_line, dispatched by schema from bench_validate.

@@ -189,7 +189,7 @@ TEST(ProfileJsonl, DuplicateSpanIdsAreAFileLevelViolation) {
     f << line << "\n" << line << "\n";
   }
   std::vector<std::string> errors;
-  EXPECT_FALSE(validate_profile_jsonl_file(path, &errors));
+  EXPECT_FALSE(validate_metrics_jsonl_file(path, &errors, kProfileSchema));
   ASSERT_FALSE(errors.empty());
   EXPECT_NE(errors.front().find("duplicate span id"), std::string::npos);
   errors.clear();
@@ -201,13 +201,14 @@ TEST(ProfileJsonl, DuplicateSpanIdsAreAFileLevelViolation) {
 
 TEST(ProfileJsonl, MixedServiceAndProfileFileValidates) {
   const std::string path = temp_path("mixed_profile.json");
-  ASSERT_TRUE(write_service_jsonl(mini_profiled_service(), path, "t", false));
-  ASSERT_TRUE(write_profile_jsonl(mini_profiled_service(), path, "t", true));
+  ASSERT_TRUE(write_jsonl_file(
+      path, service_report_jsonl(mini_profiled_service(), "t") +
+                profile_report_jsonl(mini_profiled_service(), "t")));
   std::vector<std::string> errors;
   EXPECT_TRUE(validate_metrics_jsonl_file(path, &errors))
       << (errors.empty() ? "" : errors.front());
   // The profile-only validator must reject the service section's lines.
-  EXPECT_FALSE(validate_profile_jsonl_file(path, nullptr));
+  EXPECT_FALSE(validate_metrics_jsonl_file(path, nullptr, kProfileSchema));
   std::remove(path.c_str());
 }
 
@@ -272,6 +273,34 @@ TEST(ProfileComparator, FlagsBindingResourceChange) {
   ASSERT_FALSE(errors.empty());
   EXPECT_NE(errors.front().find("binding resource changed"),
             std::string::npos);
+  std::remove(base.c_str());
+  std::remove(cur.c_str());
+}
+
+TEST(ProfileComparator, ReadsRecordKindFromParsedValue) {
+  // A span line carrying a second "kind":"attribution" key is a valid span
+  // (the first key decides), so the comparator must not read it as an
+  // attribution record.
+  std::string span;
+  for (const auto& line :
+       lines_of(profile_report_jsonl(mini_profiled_service(), "t"))) {
+    if (line.find("\"kind\":\"span\"") != std::string::npos) {
+      span = line;
+      break;
+    }
+  }
+  ASSERT_FALSE(span.empty());
+  span.insert(span.size() - 1, ",\"kind\":\"attribution\"");
+  std::string err;
+  ASSERT_TRUE(validate_profile_jsonl_line(span, &err)) << err;
+  const std::string base = temp_path("cmp_base5.json");
+  const std::string cur = temp_path("cmp_cur5.json");
+  write_file(base, profile_attribution_jsonl(synthetic(80, 20), "t"));
+  write_file(cur, profile_attribution_jsonl(synthetic(80, 20), "t") + span +
+                      "\n");
+  std::vector<std::string> errors;
+  EXPECT_TRUE(compare_profile_baselines(base, cur, 0.01, &errors))
+      << (errors.empty() ? "" : errors.front());
   std::remove(base.c_str());
   std::remove(cur.c_str());
 }

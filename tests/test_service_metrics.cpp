@@ -13,6 +13,7 @@
 
 #include "service/heap_service.hpp"
 #include "service/service_metrics.hpp"
+#include "telemetry/jsonl.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace hwgc {
@@ -127,6 +128,35 @@ TEST(ServiceJsonl, ValidatorRejectsShardOutOfRange) {
       replace_field(good_line(), "shard", "99"), &err));
 }
 
+TEST(ServiceJsonl, ValidatorRejectsIdentitiesMetByWrapAround) {
+  // Each accounting identity must hold without wrapping modulo 2^64.
+  const std::string line = good_line();
+  JsonKv kv;
+  ASSERT_TRUE(parse_flat_json_object(line, kv, nullptr));
+  const auto u64 = [&](const char* key) { return req_u64(kv, key).value(); };
+  const std::string max = "18446744073709551615";
+  std::string err;
+  EXPECT_FALSE(validate_service_jsonl_line(
+      replace_field(replace_field(replace_field(replace_field(
+                                                    line, "completed", max),
+                                                "rejected", "1"),
+                                  "failed", "0"),
+                    "requests", "0"),
+      &err));
+  EXPECT_NE(err.find("requests"), std::string::npos) << err;
+  EXPECT_FALSE(validate_service_jsonl_line(
+      replace_field(replace_field(line, "served", max), "retried",
+                    std::to_string(u64("completed") + 1)),
+      &err));
+  EXPECT_NE(err.find("served + retried"), std::string::npos) << err;
+  EXPECT_FALSE(validate_service_jsonl_line(
+      replace_field(
+          replace_field(line, "service_cycles", max), "queue_cycles",
+          std::to_string(u64("latency_cycles") - u64("stall_cycles") + 1)),
+      &err));
+  EXPECT_NE(err.find("accounting"), std::string::npos) << err;
+}
+
 // --- resilience fields (fleet-resilience PR additions) -----------------------
 
 TEST(ServiceJsonl, ValidatorRejectsFailedBreakingThePartition) {
@@ -207,8 +237,8 @@ TEST(ServiceJsonl, MixedFileValidatesBothSchemas) {
       << (errors.empty() ? "" : errors.front());
 
   // The single-schema validators must reject the other section's lines.
-  EXPECT_FALSE(validate_bench_jsonl_file(path, nullptr));
-  EXPECT_FALSE(validate_service_jsonl_file(path, nullptr));
+  EXPECT_FALSE(validate_metrics_jsonl_file(path, nullptr, kBenchSchema));
+  EXPECT_FALSE(validate_metrics_jsonl_file(path, nullptr, kServiceSchema));
   std::remove(path.c_str());
 }
 
@@ -234,10 +264,11 @@ TEST(ServiceJsonl, EmptyFileIsInvalid) {
 
 TEST(ServiceJsonl, WriteAppendStacksSections) {
   const std::string path = temp_path("stacked.json");
-  ASSERT_TRUE(write_service_jsonl(mini_service(), path, "first", false));
-  ASSERT_TRUE(write_service_jsonl(mini_service(), path, "second", true));
+  ASSERT_TRUE(
+      write_jsonl_file(path, service_report_jsonl(mini_service(), "first") +
+                                 service_report_jsonl(mini_service(), "second")));
   std::vector<std::string> errors;
-  EXPECT_TRUE(validate_service_jsonl_file(path, &errors))
+  EXPECT_TRUE(validate_metrics_jsonl_file(path, &errors, kServiceSchema))
       << (errors.empty() ? "" : errors.front());
   std::ifstream f(path);
   std::size_t n = 0;

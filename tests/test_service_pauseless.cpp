@@ -137,7 +137,8 @@ TEST(PauselessService, SpanTreeSplitsConcurrentOverheadFromStall) {
 
   // The whole profile export still passes the hwgc-profile-v1 validator.
   const std::string path = ::testing::TempDir() + "pauseless_profile.json";
-  ASSERT_TRUE(write_profile_jsonl(service, path, "pauseless-profile"));
+  ASSERT_TRUE(write_jsonl_file(
+      path, profile_report_jsonl(service, "pauseless-profile")));
   std::vector<std::string> errors;
   EXPECT_TRUE(validate_metrics_jsonl_file(path, &errors))
       << (errors.empty() ? "" : errors.front());
@@ -186,7 +187,7 @@ TEST(PauselessService, GoldenAbJsonlPinsTheTailWin) {
 
   // Every committed line passes the schema gate.
   std::vector<std::string> errors;
-  EXPECT_TRUE(validate_service_jsonl_file(path, &errors))
+  EXPECT_TRUE(validate_metrics_jsonl_file(path, &errors, kServiceSchema))
       << (errors.empty() ? "" : errors.front());
 
   // The win, read back out of the committed bytes.

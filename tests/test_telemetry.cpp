@@ -337,6 +337,8 @@ TEST(MetricsJsonl, ValidatorRejectsMalformedLines) {
 }
 
 TEST(MetricsJsonl, FileValidatorReportsPerLine) {
+  const std::vector<JsonlSchema> bench_only = {
+      {kBenchSchema, &validate_bench_jsonl_line}};
   const std::string path = ::testing::TempDir() + "/hwgc_bench_invalid.json";
   {
     MetricsRegistry reg;
@@ -347,13 +349,13 @@ TEST(MetricsJsonl, FileValidatorReportsPerLine) {
     out << reg.to_jsonl("s") << "{\"schema\":\"bogus\"}\n";
   }
   std::vector<std::string> errors;
-  EXPECT_FALSE(validate_bench_jsonl_file(path, &errors));
+  EXPECT_FALSE(validate_jsonl_file(path, bench_only, {}, &errors));
   ASSERT_EQ(errors.size(), 1u);
   EXPECT_NE(errors[0].find(":2:"), std::string::npos);
   std::remove(path.c_str());
 
   errors.clear();
-  EXPECT_FALSE(validate_bench_jsonl_file(path, &errors));  // now unreadable
+  EXPECT_FALSE(validate_jsonl_file(path, bench_only, {}, &errors));  // gone
   EXPECT_FALSE(errors.empty());
 }
 
