@@ -4,7 +4,7 @@
 // as before. These keep the SERVICE layer honest the same way
 // bench_simulator_microbench keeps the cycle loop honest.
 //
-// --json[=path] [--requests=N] [--shards=N] [--min-speedup=F]: the CI
+// With --json[=path] (flags: bench_service --help): the CI
 // perf-baseline harness. Runs an 8-shard closed-loop sweep twice on a
 // memory-latency-bound configuration — the reference engine (one host
 // thread, fast-forward off) and the tuned engine (fast-forward on) — and
@@ -20,12 +20,12 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "service/heap_service.hpp"
+#include "sim/flags.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace {
@@ -338,24 +338,25 @@ int run_perf_baseline(const SweepOptions& opt) {
 int main(int argc, char** argv) {
   SweepOptions opt;
   bool json_mode = false;
+  // --benchmark_* flags belong to google-benchmark; the rest to the table.
   std::vector<char*> passthrough = {argv[0]};
+  std::vector<char*> ours = {argv[0]};
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json") {
-      json_mode = true;
-    } else if (arg.rfind("--json=", 0) == 0) {
-      json_mode = true;
-      opt.json_path = arg.substr(7);
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      opt.shards = std::strtoull(arg.c_str() + 9, nullptr, 10);
-    } else if (arg.rfind("--requests=", 0) == 0) {
-      opt.requests = std::strtoull(arg.c_str() + 11, nullptr, 10);
-    } else if (arg.rfind("--min-speedup=", 0) == 0) {
-      opt.min_speedup = std::strtod(arg.c_str() + 14, nullptr);
-    } else {
-      passthrough.push_back(argv[i]);
-    }
+    const bool gbench = std::string(argv[i]).rfind("--benchmark_", 0) == 0;
+    (gbench ? passthrough : ours).push_back(argv[i]);
   }
+  Flags t("bench_service",
+          "google-benchmark microbenches of the dispatch path; with --json\n"
+          "the 8-shard perf-baseline harness instead. --benchmark_* flags\n"
+          "go to google-benchmark.");
+  t.opt_value("--json", json_mode, opt.json_path,
+              "run the perf-baseline harness, writing hwgc-bench-v1 JSONL\n"
+              "(default path BENCH_service.json)");
+  t.value("--shards", opt.shards, "fleet size of the sweep");
+  t.value("--requests", opt.requests, "requests per engine run");
+  t.value("--min-speedup", opt.min_speedup,
+          "fail when the fast-forward gain falls short (0 = report only)");
+  t.parse(static_cast<int>(ours.size()), ours.data());
   if (json_mode) return run_perf_baseline(opt);
 
   int bench_argc = static_cast<int>(passthrough.size());

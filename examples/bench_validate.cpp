@@ -25,22 +25,24 @@
 #include <vector>
 
 #include "service/service_metrics.hpp"
+#include "sim/flags.hpp"
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    std::fprintf(stderr, "usage: bench_validate FILE [FILE...]\n");
-    return 2;
-  }
+  std::vector<std::string> files;
+  hwgc::Flags t("bench_validate", "schema gate for hwgc JSONL metric files");
+  t.list("FILE", files, "JSONL files to validate");
+  t.parse(argc, argv);
+  if (files.empty()) t.fail("needs at least one file");
   bool all_ok = true;
-  for (int i = 1; i < argc; ++i) {
+  for (const std::string& file : files) {
     std::vector<std::string> errors;
-    const bool ok = hwgc::validate_metrics_jsonl_file(argv[i], &errors);
+    const bool ok = hwgc::validate_metrics_jsonl_file(file, &errors);
     if (ok) {
-      std::printf("%s: OK\n", argv[i]);
+      std::printf("%s: OK\n", file.c_str());
       continue;
     }
     all_ok = false;
-    std::printf("%s: INVALID\n", argv[i]);
+    std::printf("%s: INVALID\n", file.c_str());
     for (const auto& e : errors) std::printf("  %s\n", e.c_str());
   }
   return all_ok ? 0 : 1;

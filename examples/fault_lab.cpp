@@ -17,43 +17,20 @@
 //   fault_lab --classes mem-corrupt --cores 8 --events 4 --seeds 10 -v
 //   fault_lab --graph-seed 3 --max-nodes 64   # smaller, faster graphs
 #include <cstdint>
-#include <cstdlib>
 #include <iomanip>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "fault/fault_plan.hpp"
 #include "fuzz/oracle.hpp"
+#include "sim/flags.hpp"
 #include "telemetry/trace_export.hpp"
 
 namespace {
 
-void usage() {
-  std::cout <<
-      "usage: fault_lab [options]\n"
-      "  --classes a,b,..  fault classes to sweep (default: all); names:\n"
-      "                    mem-drop mem-dup mem-delay mem-corrupt lock-delay\n"
-      "                    stuck-busy core-stall core-failstop\n"
-      "  --cores a,b,..    core counts to sweep (default 2,4,8)\n"
-      "  --events a,b,..   events per run, the fault rate axis (default 1,4)\n"
-      "  --seeds N         seeds per matrix cell (default 3)\n"
-      "  --base-seed N     first fault/schedule seed (default 1)\n"
-      "  --graph-seed N    first object-graph seed (default 42; +1 per seed)\n"
-      "  --max-nodes N     object-graph size cap (default 96)\n"
-      "  --fault-scale N   trigger-point scale (default 48; small keeps the\n"
-      "                    trigger points inside these short collections)\n"
-      "  --trace-json P    re-run the most interesting case (first one that\n"
-      "                    needed recovery, else first that fired a fault)\n"
-      "                    with telemetry attached and export its timeline —\n"
-      "                    every attempt, injected fault, abort and recovery\n"
-      "                    action — as Chrome-trace JSON to P\n"
-      "  -v, --verbose     print every run, not just the matrix\n";
-}
-
 struct Options {
-  std::vector<hwgc::FaultKind> classes;
+  std::vector<hwgc::FaultKind> classes = hwgc::all_fault_kinds();
   std::vector<std::uint32_t> cores{2, 4, 8};
   std::vector<std::uint32_t> events{1, 4};
   std::uint32_t seeds = 3;
@@ -65,77 +42,33 @@ struct Options {
   bool verbose = false;
 };
 
-std::vector<std::string> split_list(const std::string& csv) {
-  std::vector<std::string> out;
-  std::istringstream is(csv);
-  std::string item;
-  while (std::getline(is, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
-
-bool parse_args(int argc, char** argv, Options& opt) {
-  const auto next = [&](int& i) -> const char* {
-    if (i + 1 >= argc) {
-      std::cerr << "missing value for " << argv[i] << "\n";
-      std::exit(2);
-    }
-    return argv[++i];
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--classes") {
-      for (const auto& name : split_list(next(i))) {
-        hwgc::FaultKind k;
-        if (!hwgc::parse_fault_kind(name, k)) {
-          std::cerr << "unknown fault class " << name << "\n";
-          return false;
-        }
-        opt.classes.push_back(k);
-      }
-    } else if (a == "--cores") {
-      opt.cores.clear();
-      for (const auto& c : split_list(next(i))) {
-        opt.cores.push_back(
-            static_cast<std::uint32_t>(std::strtoul(c.c_str(), nullptr, 0)));
-      }
-    } else if (a == "--events") {
-      opt.events.clear();
-      for (const auto& c : split_list(next(i))) {
-        opt.events.push_back(
-            static_cast<std::uint32_t>(std::strtoul(c.c_str(), nullptr, 0)));
-      }
-    } else if (a == "--seeds") {
-      opt.seeds = static_cast<std::uint32_t>(std::strtoul(next(i), nullptr, 0));
-    } else if (a == "--base-seed") {
-      opt.base_seed = std::strtoull(next(i), nullptr, 0);
-    } else if (a == "--graph-seed") {
-      opt.graph_seed = std::strtoull(next(i), nullptr, 0);
-    } else if (a == "--max-nodes") {
-      opt.max_nodes =
-          static_cast<std::uint32_t>(std::strtoul(next(i), nullptr, 0));
-    } else if (a == "--fault-scale") {
-      opt.fault_scale =
-          static_cast<std::uint32_t>(std::strtoul(next(i), nullptr, 0));
-    } else if (a == "--trace-json") {
-      opt.trace_json = next(i);
-    } else if (a == "-v" || a == "--verbose") {
-      opt.verbose = true;
-    } else if (a == "--help" || a == "-h") {
-      usage();
-      std::exit(0);
-    } else {
-      std::cerr << "unknown option " << a << "\n";
-      return false;
-    }
-  }
-  if (opt.classes.empty()) {
-    for (std::size_t k = 0; k < hwgc::kFaultKindCount; ++k) {
-      opt.classes.push_back(static_cast<hwgc::FaultKind>(k));
-    }
-  }
-  return true;
+void parse_args(int argc, char** argv, Options& opt) {
+  hwgc::Flags t("fault_lab", "hardware fault-injection sweep driver");
+  t.list("--classes", opt.classes,
+         hwgc::choice(hwgc::parse_fault_kind,
+                      [](hwgc::FaultKind k) { return to_string(k); },
+                      hwgc::all_fault_kinds()),
+         "fault classes to sweep")
+      .metavar("CLASS,..");
+  t.list("--cores", opt.cores, "core counts to sweep");
+  t.list("--events", opt.events, "events per run, the fault rate axis");
+  t.value("--seeds", opt.seeds, "seeds per matrix cell");
+  t.value("--base-seed", opt.base_seed, "first fault/schedule seed");
+  t.value("--graph-seed", opt.graph_seed,
+          "first object-graph seed (+1 per seed)");
+  t.value("--max-nodes", opt.max_nodes, "object-graph size cap");
+  t.value("--fault-scale", opt.fault_scale,
+          "trigger-point scale (small keeps the trigger points inside\n"
+          "these short collections)");
+  t.value("--trace-json", opt.trace_json,
+          "re-run the most interesting case (first one that needed\n"
+          "recovery, else first that fired a fault) with telemetry\n"
+          "attached and export its timeline as Chrome-trace JSON")
+      .metavar("PATH");
+  t.toggle("--verbose", opt.verbose, "print every run, not just the matrix")
+      .alias("-v");
+  t.parse(argc, argv);
+  if (opt.seeds == 0) t.fail("--seeds must be >= 1");
 }
 
 struct Tally {
@@ -161,10 +94,7 @@ const char* classify(const hwgc::FuzzVerdict& v) {
 
 int main(int argc, char** argv) {
   Options opt;
-  if (!parse_args(argc, argv, opt)) {
-    usage();
-    return 2;
-  }
+  parse_args(argc, argv, opt);
 
   // The schedule policies rotate with the seed index so every matrix cell
   // also explores different core interleavings.

@@ -8,45 +8,28 @@
 // VI-A monitoring framework: the same hardware performance counters, read
 // once per collection instead of post-mortem.
 //
-// Usage:
-//   gc_top [options]
-//     --cores=N         GC cores (default 4)
-//     --heap-words=N    semispace size in words (default 8192)
-//     --collections=N   stop after N collection cycles (default 8)
-//     --every=N         mutator steps between forced collections (default 300)
-//     --interval-ms=N   frame delay (default 150; use 0 for CI/scripts)
-//     --seed=N          mutator seed (default 1)
-//     --faults=N        inject N seeded fault events per cycle and route
-//                       collections through the recovery machinery
-//     --no-clear        append frames instead of redrawing (logs, CI)
-//     --profile         cycle attribution drill-down (src/profile/): the
-//                       panel grows a critical-path line plus a per-class
-//                       share bar chart, and --json gains the
-//                       hwgc-profile-v1 attribution record
-//     --json=PATH       write the session's aggregated metrics (min/mean/
-//                       p50/p99 across all cycles) as hwgc-bench-v1 JSONL
-//     --trace-json=PATH export the whole session timeline — one telemetry
-//                       epoch per collection — as Chrome-trace JSON
+// Flags: `gc_top --help`. --faults routes every collection through the
+// recovery ladder, whose counters join the panel. --profile adds the
+// cycle attribution drill-down (src/profile/): a critical-path line plus a
+// per-class share bar chart, and --json gains the hwgc-profile-v1
+// attribution record. --json writes the session's aggregated metrics
+// (min/mean/p50/p99 across all cycles) as hwgc-bench-v1 JSONL;
+// --trace-json exports the whole session timeline, one telemetry epoch per
+// collection, as Chrome-trace JSON.
 //
 // Service mode (--shards=N): instead of one runtime, drives a HeapService
 // fleet panel — one row per shard with occupancy, backlog, collections,
 // request latency percentiles and the stall share — serving --every
 // requests per frame for --collections frames under --scheduler. --json
-// then writes the hwgc-service-v1 section.
-//     --shards=N        fleet size; 0 (default) keeps the classic panel
-//     --scheduler=NAME  reactive | proactive | roundrobin | pauseless
-//                       (default proactive)
-//     --storm=PCT       fault-storm PCT% of the fleet (stormed shards are
-//                       marked *storm in the panel)
-//     --supervise       health supervision + checkpoint/restore; the panel
-//                       grows a health column and a transition ticker
-// With --profile in service mode the shard table grows a binding-resource
-// column and a per-shard drill-down panel (top stall classes by share,
-// slowest request so far); --json appends the hwgc-profile-v1 section.
+// then writes the hwgc-service-v1 section. Stormed shards (--storm=PCT)
+// are marked *storm; --supervise grows a health column and a transition
+// ticker. With --profile in service mode the shard table grows a
+// binding-resource column and a per-shard drill-down panel (top stall
+// classes by share, slowest request so far); --json appends the
+// hwgc-profile-v1 section.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 
@@ -56,6 +39,7 @@
 #include "runtime/runtime.hpp"
 #include "service/heap_service.hpp"
 #include "service/service_metrics.hpp"
+#include "sim/flags.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace_export.hpp"
 #include "workloads/mutator.hpp"
@@ -82,73 +66,51 @@ struct CliOptions {
   std::string trace_json;
 };
 
-bool parse_u32(const std::string& arg, const char* key, std::uint32_t& out) {
-  const std::string prefix = std::string(key) + "=";
-  if (arg.rfind(prefix, 0) != 0) return false;
-  out = static_cast<std::uint32_t>(
-      std::strtoul(arg.c_str() + prefix.size(), nullptr, 10));
-  return true;
-}
-
 CliOptions parse(int argc, char** argv) {
   CliOptions o;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    std::uint32_t v = 0;
-    if (parse_u32(a, "--cores", v)) {
-      o.cores = v;
-    } else if (parse_u32(a, "--heap-words", v)) {
-      o.heap_words = v;
-    } else if (parse_u32(a, "--collections", v)) {
-      o.collections = v;
-    } else if (parse_u32(a, "--every", v)) {
-      o.every = v;
-    } else if (parse_u32(a, "--interval-ms", v)) {
-      o.interval_ms = v;
-    } else if (parse_u32(a, "--faults", v)) {
-      o.faults = v;
-    } else if (parse_u32(a, "--shards", v)) {
-      o.shards = v;
-    } else if (parse_u32(a, "--storm", v)) {
-      o.storm_pct = v;
-    } else if (a == "--supervise") {
-      o.supervise = true;
-    } else if (a.rfind("--scheduler=", 0) == 0) {
-      const auto k = parse_scheduler(a.substr(12));
-      if (!k.has_value()) {
-        std::fprintf(stderr, "unknown scheduler: %s\n", a.c_str() + 12);
-        std::exit(2);
-      }
-      o.scheduler = *k;
-    } else if (a.rfind("--seed=", 0) == 0) {
-      o.seed = std::strtoull(a.c_str() + 7, nullptr, 10);
-    } else if (a == "--no-clear") {
-      o.no_clear = true;
-    } else if (a == "--profile") {
-      o.profile = true;
-    } else if (a.rfind("--json=", 0) == 0) {
-      o.json_path = a.substr(7);
-    } else if (a.rfind("--trace-json=", 0) == 0) {
-      o.trace_json = a.substr(13);
-    } else if (a == "--help" || a == "-h") {
-      std::printf(
-          "gc_top — live GC dashboard (see examples/gc_top.cpp for details)\n"
-          "  panel:   --cores=N --heap-words=N --collections=N --every=N\n"
-          "           --interval-ms=N --seed=N --faults=N --no-clear\n"
-          "  fleet:   --shards=N --scheduler=NAME --storm=PCT --supervise\n"
-          "  profile: --profile  adds the stall-attribution drill-down —\n"
-          "           a binding-resource column per shard, per-class share\n"
-          "           bars and the slowest request captured so far\n"
-          "  output:  --json=PATH --trace-json=PATH\n"
-          "keys: the dashboard is frame-driven, not keyboard-driven; the\n"
-          "only binding is Ctrl-C (quit). Use --no-clear to keep history\n"
-          "scrolling instead of redrawing in place.\n");
-      std::exit(0);
-    } else {
-      std::fprintf(stderr, "unknown option: %s\n", a.c_str());
-      std::exit(2);
-    }
-  }
+  Flags t("gc_top",
+          "live GC dashboard. The dashboard is frame-driven, not keyboard-\n"
+          "driven: the only binding is Ctrl-C (quit). Use --no-clear to keep\n"
+          "history scrolling instead of redrawing in place.");
+  t.section("panel");
+  t.value("--cores", o.cores, "GC cores");
+  t.value("--heap-words", o.heap_words, "semispace size in words");
+  t.value("--collections", o.collections,
+          "collection cycles (service mode: frames)");
+  t.value("--every", o.every,
+          "mutator steps between forced collections\n"
+          "(service mode: requests per frame)");
+  t.value("--interval-ms", o.interval_ms, "frame delay (0 for CI/scripts)");
+  t.value("--seed", o.seed, "mutator / traffic seed");
+  t.value("--faults", o.faults,
+          "seeded fault events per cycle, routed through recovery");
+  t.toggle("--no-clear", o.no_clear,
+           "append frames instead of redrawing (logs, CI)");
+  t.section("fleet");
+  t.value("--shards", o.shards, "fleet size; 0 keeps the classic panel");
+  t.value("--scheduler", o.scheduler,
+          choice(parse_scheduler,
+                 [](GcSchedulerKind k) { return to_string(k); },
+                 all_schedulers()),
+          "fleet GC scheduler");
+  t.value("--storm", o.storm_pct, "fault-storm PCT% of the fleet")
+      .metavar("PCT");
+  t.toggle("--supervise", o.supervise,
+           "health supervision + checkpoint/restore");
+  t.section("profile and output");
+  t.toggle("--profile", o.profile,
+           "stall-attribution drill-down: critical path, per-class share\n"
+           "bars, binding resource per shard, slowest request so far");
+  t.value("--json", o.json_path,
+          "aggregated session metrics as hwgc-bench-v1 JSONL\n"
+          "(service mode: hwgc-service-v1)")
+      .metavar("PATH");
+  t.value("--trace-json", o.trace_json,
+          "whole-session timeline as Chrome-trace JSON")
+      .metavar("PATH");
+  t.parse(argc, argv);
+  if (o.cores == 0) t.fail("--cores must be >= 1");
+  if (o.storm_pct > 100) t.fail("--storm must be a percentage (0..100)");
   return o;
 }
 
@@ -318,19 +280,18 @@ void render_fleet(const CliOptions& o, const HeapService& service,
             ? 100.0 * static_cast<double>(s.stall_cycles) /
                   static_cast<double>(s.latency.sum())
             : 0.0;
+    const std::string binding =
+        prof ? std::string(to_string(service.shard_attribution(i).binding()))
+             : std::string();
     std::printf(
-        "s%-4zu [%s] %4.0f%% %6llu %5llu %8llu %8llu %5.1f%% %-7s %-11s%s%s\n",
+        "s%-4zu [%s] %4.0f%% %6llu %5llu %8llu %8llu %5.1f%% %-7s %-11s%s%s%s\n",
         i, occupancy_bar(ob.occupancy, 20).c_str(), 100.0 * ob.occupancy,
         static_cast<unsigned long long>(ob.live_roots),
         static_cast<unsigned long long>(s.collections),
         static_cast<unsigned long long>(s.latency.percentile(0.50)),
         static_cast<unsigned long long>(s.latency.percentile(0.99)),
         stall_share, s.oracle_failures == 0 ? "ok" : "FAIL",
-        to_string(service.shard_health(i)),
-        prof ? (" " +
-                std::string(to_string(service.shard_attribution(i).binding())))
-                   .c_str()
-             : "",
+        to_string(service.shard_health(i)), prof ? " " : "", binding.c_str(),
         service.storm().enabled() && service.storm().stormed(i) ? " *storm"
                                                                 : "");
   }

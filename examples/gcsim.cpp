@@ -4,36 +4,16 @@
 // prints the full measurement report (all counters behind the paper's
 // Tables I/II), optionally as CSV for scripting.
 //
-// Usage:
-//   gcsim [options]
-//     --workload=NAME   compress|cup|db|javac|javacc|jflex|jlisp|search
-//                       or random:<seed> (default: db)
-//     --scale=F         live-set scale (default 0.25)
-//     --seed=N          workload seed (default 42)
-//     --cores=N         GC cores, 1..16+ (default 8)
-//     --latency=N       body memory latency in cycles (default 4)
-//     --header-latency=N  header transaction latency (default 10)
-//     --bandwidth=N     accepted requests/cycle (default 4)
-//     --fifo=N          header FIFO capacity (default 32768)
-//     --header-cache=N  header cache entries (default 0 = off)
-//     --early-read      enable the mark-bit early-read optimization
-//     --subobject       enable cache-line-granularity copying
-//     --concurrent      run the mutator concurrently (read barrier)
-//     --csv             one CSV row instead of the report
-//     --profile         per-cycle stall attribution (src/profile/): prints
-//                       the critical-path summary (binding resource, knee
-//                       run) and the per-class cycle shares; with
-//                       --trace-json the binding stream is merged into the
-//                       timeline as "crit:" notes. Ignored by --concurrent.
-//     --verify          check the heap against a pre-cycle snapshot
-//     --trace-json=PATH export the cycle's full telemetry timeline
-//                       (phases, per-core activity/stall spans, lock holds,
-//                       FIFO/memory counters, merged signal samples) as
-//                       Chrome-trace JSON — load in ui.perfetto.dev
-//     --bench-json=PATH emit the run's metrics as hwgc-bench-v1 JSONL
+// Flags: `gcsim --help`. --workload takes a benchmark name or
+// random:<seed>. --profile prints the critical-path summary (binding
+// resource, knee run) and the per-class cycle shares; with --trace-json
+// the binding stream is merged into the timeline as "crit:" notes, and it
+// is ignored by --concurrent. --trace-json exports the cycle's full
+// telemetry timeline (phases, per-core activity/stall spans, lock holds,
+// FIFO/memory counters, merged signal samples) as Chrome-trace JSON — load
+// it in ui.perfetto.dev.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <optional>
 #include <string>
 
 #include "core/concurrent_cycle.hpp"
@@ -41,6 +21,7 @@
 #include "heap/verifier.hpp"
 #include "profile/critical_path.hpp"
 #include "profile/profile_metrics.hpp"
+#include "sim/flags.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace_export.hpp"
 #include "workloads/benchmarks.hpp"
@@ -63,80 +44,70 @@ struct CliOptions {
   std::string bench_json;  ///< empty: no metrics export
 };
 
-bool parse_u32(const std::string& arg, const char* key, std::uint32_t& out) {
-  const std::string prefix = std::string(key) + "=";
-  if (arg.rfind(prefix, 0) != 0) return false;
-  out = static_cast<std::uint32_t>(
-      std::strtoul(arg.c_str() + prefix.size(), nullptr, 10));
-  return true;
-}
-
 CliOptions parse(int argc, char** argv) {
   CliOptions o;
   o.sim.coprocessor.num_cores = 8;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    std::uint32_t v = 0;
-    if (a.rfind("--workload=", 0) == 0) {
-      o.workload = a.substr(11);
-    } else if (a.rfind("--scale=", 0) == 0) {
-      o.scale = std::strtod(a.c_str() + 8, nullptr);
-    } else if (a.rfind("--seed=", 0) == 0) {
-      o.seed = std::strtoull(a.c_str() + 7, nullptr, 10);
-    } else if (parse_u32(a, "--cores", v)) {
-      o.sim.coprocessor.num_cores = v;
-    } else if (parse_u32(a, "--latency", v)) {
-      o.sim.memory.latency = v;
-    } else if (parse_u32(a, "--header-latency", v)) {
-      o.sim.memory.header_latency = v;
-    } else if (parse_u32(a, "--bandwidth", v)) {
-      o.sim.memory.bandwidth_per_cycle = v;
-    } else if (parse_u32(a, "--fifo", v)) {
-      o.sim.coprocessor.header_fifo_capacity = v;
-    } else if (parse_u32(a, "--header-cache", v)) {
-      o.sim.memory.header_cache_entries = v;
-    } else if (a == "--early-read") {
-      o.sim.coprocessor.markbit_early_read = true;
-    } else if (a == "--subobject") {
-      o.sim.coprocessor.subobject_copy = true;
-    } else if (a == "--concurrent") {
-      o.concurrent = true;
-    } else if (a == "--csv") {
-      o.csv = true;
-    } else if (a == "--profile") {
-      o.profile = true;
-    } else if (a == "--verify") {
-      o.verify = true;
-    } else if (a.rfind("--trace-json=", 0) == 0) {
-      o.trace_json = a.substr(13);
-    } else if (a.rfind("--bench-json=", 0) == 0) {
-      o.bench_json = a.substr(13);
-    } else if (a == "--help" || a == "-h") {
-      std::printf("see the header of examples/gcsim.cpp for options\n");
-      std::exit(0);
-    } else {
-      std::fprintf(stderr, "unknown option: %s\n", a.c_str());
-      std::exit(2);
-    }
-  }
+  Flags t("gcsim", "runs one collection cycle and prints the measurement "
+                   "report");
+  const Codec<BenchmarkId> bench = choice(
+      parse_benchmark, [](BenchmarkId id) { return benchmark_name(id); },
+      all_benchmarks());
+  Codec<std::string> workload = codec_for<std::string>();
+  workload.parse = [bench](const std::string& s) -> std::optional<std::string> {
+    const bool random = s.rfind("random:", 0) == 0 &&
+                        parse_number<std::uint64_t>(s.substr(7)).has_value();
+    if (!random && !bench.parse(s)) return std::nullopt;
+    return s;
+  };
+  workload.need = "one of " + bench.meta + " or random:<seed>";
+  t.value("--workload", o.workload, workload,
+          bench.meta + "\nor random:<seed>")
+      .metavar("NAME");
+  t.value("--scale", o.scale, "live-set scale");
+  t.value("--seed", o.seed, "workload seed");
+  t.value("--cores", o.sim.coprocessor.num_cores, "GC cores");
+  t.value("--latency", o.sim.memory.latency,
+          "body memory latency in cycles");
+  t.value("--header-latency", o.sim.memory.header_latency,
+          "header transaction latency");
+  t.value("--bandwidth", o.sim.memory.bandwidth_per_cycle,
+          "accepted requests/cycle");
+  t.value("--fifo", o.sim.coprocessor.header_fifo_capacity,
+          "header FIFO capacity");
+  t.value("--header-cache", o.sim.memory.header_cache_entries,
+          "header cache entries (0 = off)");
+  t.toggle("--early-read", o.sim.coprocessor.markbit_early_read,
+           "enable the mark-bit early-read optimization");
+  t.toggle("--subobject", o.sim.coprocessor.subobject_copy,
+           "enable cache-line-granularity copying");
+  t.toggle("--concurrent", o.concurrent,
+           "run the mutator concurrently (read barrier)");
+  t.toggle("--csv", o.csv, "one CSV row instead of the report");
+  t.toggle("--profile", o.profile,
+           "per-cycle stall attribution: critical-path summary and\n"
+           "per-class cycle shares (ignored by --concurrent)");
+  t.toggle("--verify", o.verify,
+           "check the heap against a pre-cycle snapshot");
+  t.value("--trace-json", o.trace_json,
+          "export the cycle's telemetry timeline as Chrome-trace JSON")
+      .metavar("PATH");
+  t.value("--bench-json", o.bench_json,
+          "emit the run's metrics as hwgc-bench-v1 JSONL")
+      .metavar("PATH");
+  t.parse(argc, argv);
+  if (o.sim.coprocessor.num_cores == 0) t.fail("--cores must be >= 1");
   return o;
 }
 
 Workload build(const CliOptions& o) {
-  if (o.workload.rfind("random:", 0) == 0) {
-    const std::uint64_t seed =
-        std::strtoull(o.workload.c_str() + 7, nullptr, 10);
-    RandomGraphConfig cfg;
-    cfg.nodes = static_cast<std::uint32_t>(2000 * o.scale * 4);
-    return materialize(make_random_plan(seed, cfg));
+  if (const auto id = parse_benchmark(o.workload)) {
+    return make_benchmark(*id, o.scale, o.seed);
   }
-  for (BenchmarkId id : all_benchmarks()) {
-    if (benchmark_name(id) == o.workload) {
-      return make_benchmark(id, o.scale, o.seed);
-    }
-  }
-  std::fprintf(stderr, "unknown workload: %s\n", o.workload.c_str());
-  std::exit(2);
+  // parse() admitted only benchmark names and random:<seed>.
+  RandomGraphConfig cfg;
+  cfg.nodes = static_cast<std::uint32_t>(2000 * o.scale * 4);
+  return materialize(
+      make_random_plan(*parse_number<std::uint64_t>(o.workload.substr(7)), cfg));
 }
 
 void print_report(const CliOptions& o, const GcCycleStats& s) {

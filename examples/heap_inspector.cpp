@@ -7,16 +7,19 @@
 //
 // Usage: ./examples/heap_inspector [scale]
 #include <cstdio>
-#include <cstdlib>
 
 #include "core/coprocessor.hpp"
 #include "heap/object_model.hpp"
 #include "heap/verifier.hpp"
+#include "sim/flags.hpp"
 #include "workloads/benchmarks.hpp"
 
 int main(int argc, char** argv) {
   using namespace hwgc;
-  const double scale = argc > 1 ? std::strtod(argv[1], nullptr) : 0.02;
+  double scale = 0.02;
+  Flags t("heap_inspector", "dumps the tricolor life of one collection cycle");
+  t.value("scale", scale, "live-set scale factor of the jlisp workload");
+  t.parse(argc, argv);
 
   Workload w = make_benchmark(BenchmarkId::kJlisp, scale);
   Heap& heap = *w.heap;

@@ -18,78 +18,33 @@
 //         --load 0.5,1.0,2.0 --requests 20000 --json BENCH_heapd.json
 //   heapd --shards 4 --faults 2 --fault-shard 1 --requests 10000
 //
-// Options (space-separated values, fault_lab style):
-//   --shards a,b,..     shard counts to sweep (default 4)
-//   --scheduler a,b,..  policies: reactive proactive roundrobin
-//                       pauseless (default reactive)
-//   --load a,b,..       offered loads, open loop only (default 1.0)
-//   --requests N        requests per configuration (default 20000)
-//   --seed N            traffic seed (default 1)
-//   --sessions N        concurrent sessions (default 64)
-//   --heap-words N      per-shard semispace words (default 8192)
-//   --cores N           GC cores per shard coprocessor (default 4)
-//   --closed-loop       one outstanding request per session (default open)
-//   --host-threads N    host threads running shard work (default 1 =
-//                       serial; output is byte-identical either way).
-//                       0 = one per hardware thread. Ignored while
-//                       --trace-json is attached to a configuration
-//   --fast-forward B    1/0: event-driven clock fast-forward in each
-//                       shard's coprocessor (default 1; observationally
-//                       invisible, see DESIGN.md §13)
-//   --slo N             SLO bound in cycles (default 16384; 0 disables)
-//   --max-backlog N     admission-control backlog bound (default 0 = none)
-//   --faults N          seeded fault events per collection on the fault
-//                       shard (runs it through the recovery machinery)
-//   --fault-shard N     shard receiving the faults (default 0 with --faults)
-//   --fault-seed N      fault plan seed (default 1)
-//   --storm-fraction F  fault-storm: fraction of the fleet taking repeating
-//                       per-collection faults (0 disables; storm shards run
-//                       every collection through the recovery machinery)
-//   --storm-events N    fault events per collection on stormed shards
-//   --storm-seed N      storm plan seed (shard pick, phases, fault streams)
-//   --storm-burst N     burst window length in per-shard arrivals (0 = the
-//                       storm never pauses); --storm-calm N sets the gap
-//   --storm-crashes N   crash every Nth active arrival on a stormed shard
-//                       (requires --supervise)
-//   --supervise         enable health supervision + checkpoint/restore
-//   --deadline N        per-request deadline budget in cycles (enables
-//                       failover routing + load shedding; 0 = none)
-//   --retries N         max failover hops per request (default 2)
-//   --backoff N         retry backoff in cycles per failover hop
-//   --checkpoint-interval N  verified-clean cycles between checkpoints
-//   --restore-cost N    virtual cycles a checkpoint restore occupies
-//   --trace a,b,..      hwgc-trace-v1 files: sessions replay recorded op
-//                       streams (trace-per-session, session % files) instead
-//                       of seeded churn; read probes verify recorded digests.
-//                       Incompatible with --supervise/--deadline (checkpoint
-//                       restores would rewind roots under live trace cursors)
-//   --trace-ops N       trace mode: baseline replay ops per request
-//                       (default 16; scaled by request kind)
-//   --no-oracle         skip the per-cycle post-structure oracle
-//   --json PATH         write hwgc-bench-v1 (per-shard GC aggregates) +
-//                       hwgc-service-v1 (latency/SLO) JSONL sections
-//   --trace-json PATH   Chrome-trace timeline of the FIRST configuration
-//   --profile           per-cycle stall attribution + request tracing
-//                       (src/profile/): prints each shard's binding
-//                       resource and the fleet's slowest request
-//   --exemplars N       slow-request exemplars kept per shard and fleet-
-//                       wide (default 4; implies nothing by itself)
-//   --profile-json PATH hwgc-profile-v1 JSONL — per-shard attribution
-//                       records + exemplar span trees for every sweep
-//                       point (implies --profile)
-//   --flame PATH        Chrome-trace flame view of the FIRST
-//                       configuration's exemplar span trees (implies
-//                       --profile)
-//   -v, --verbose       per-shard table for every configuration
+// Flags: `heapd --help` lists them all with their defaults. Semantics
+// the table does not spell out:
+//   * --host-threads spreads shard work over host threads; the output is
+//     byte-identical at any count, and a configuration with --trace-json
+//     attached runs serially. --fast-forward 0|1 toggles the event-driven
+//     clock fast-forward, observationally invisible (DESIGN.md §13).
+//   * --faults N runs the fault shard's collections through the recovery
+//     machinery; --storm-fraction F storms that fraction of the fleet with
+//     repeating per-collection faults (--storm-burst/--storm-calm pace
+//     it), and --storm-crashes N crashes every Nth active arrival on a
+//     stormed shard, which needs --supervise to quarantine and restore it.
+//   * --deadline enables failover routing and load shedding.
+//   * --trace replays recorded hwgc-trace-v1 op streams (trace-per-session,
+//     session % files) instead of seeded churn, and read probes verify the
+//     recorded digests. It cannot combine with --supervise/--deadline:
+//     checkpoint restores would rewind roots under live trace cursors.
+//   * --profile-json and --flame imply --profile. --trace-json and --flame
+//     cover the first configuration only; --json and --profile-json cover
+//     the whole sweep (exemplar trace ids are offset per configuration, so
+//     span keys stay unique in the file).
 //
 // Unknown options and malformed values exit 2 with a usage summary on
 // stderr — a sweep driven from CI must never silently ignore a typo.
 #include <algorithm>
-#include <cerrno>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -99,6 +54,7 @@
 #include "profile/stall_class.hpp"
 #include "service/heap_service.hpp"
 #include "service/service_metrics.hpp"
+#include "sim/flags.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace_export.hpp"
 
@@ -121,7 +77,7 @@ struct Options {
   Cycle slo = 1u << 14;
   Cycle max_backlog = 0;
   std::uint32_t faults = 0;
-  std::size_t fault_shard = ServiceConfig::kNoShard;
+  std::size_t fault_shard = 0;
   std::uint64_t fault_seed = 1;
   FaultStormConfig storm{};
   ResilienceConfig resilience{};
@@ -138,213 +94,115 @@ struct Options {
   bool verbose = false;
 };
 
-std::vector<std::string> split_list(const std::string& csv) {
-  std::vector<std::string> out;
-  std::istringstream is(csv);
-  std::string item;
-  while (std::getline(is, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
+void parse_args(int argc, char** argv, Options& opt) {
+  Flags t("heapd", "multi-tenant heap service sweep driver (semantics: the "
+                   "header of examples/heapd.cpp)");
+  t.section("sweep");
+  t.list("--shards", opt.shards, "shard counts to sweep");
+  t.list("--scheduler", opt.schedulers,
+         choice(parse_scheduler,
+                [](GcSchedulerKind k) { return to_string(k); },
+                all_schedulers()),
+         "GC scheduler policies to sweep")
+      .metavar("POLICY,..");
+  t.list("--load", opt.loads, "offered loads, open loop only");
+  t.value("--requests", opt.requests, "requests per configuration");
+  t.value("--seed", opt.seed, "traffic seed");
+  t.value("--sessions", opt.sessions, "concurrent sessions");
+  t.section("shard");
+  t.value("--heap-words", opt.heap_words, "per-shard semispace words");
+  t.value("--cores", opt.cores, "GC cores per shard coprocessor");
+  t.toggle("--closed-loop", opt.closed_loop,
+           "one outstanding request per session (default open)");
+  t.value("--host-threads", opt.host_threads,
+          "host threads running shard work (0 = one per hardware thread)");
+  t.value("--fast-forward", opt.fast_forward,
+          choice([](const std::string& s) -> std::optional<bool> {
+                   if (s != "0" && s != "1") return std::nullopt;
+                   return s == "1";
+                 },
+                 [](bool on) { return on ? "1" : "0"; },
+                 std::vector<bool>{false, true}),
+          "event-driven clock fast-forward in each shard's coprocessor");
+  t.value("--slo", opt.slo, "SLO bound in cycles (0 disables)");
+  t.value("--max-backlog", opt.max_backlog,
+          "admission-control backlog bound (0 = none)");
+  t.toggle("--no-oracle", opt.oracle,
+           "skip the per-cycle post-structure oracle", false);
+  t.section("faults");
+  t.value("--faults", opt.faults,
+          "seeded fault events per collection on the fault shard");
+  t.value("--fault-shard", opt.fault_shard, "shard receiving the faults");
+  t.value("--fault-seed", opt.fault_seed, "fault plan seed");
+  t.section("storm");
+  t.value("--storm-fraction", opt.storm.shard_fraction,
+          "fraction of the fleet under a repeating fault storm");
+  t.value("--storm-events", opt.storm.events_per_collection,
+          "fault events per collection on stormed shards");
+  t.value("--storm-seed", opt.storm.seed, "storm plan seed");
+  t.value("--storm-burst", opt.storm.burst_requests,
+          "burst window in per-shard arrivals (0 = never pauses)");
+  t.value("--storm-calm", opt.storm.calm_requests, "gap between bursts");
+  t.value("--storm-crashes", opt.storm.crash_period,
+          "crash every Nth active arrival on a stormed shard\n"
+          "(requires --supervise)");
+  t.section("resilience");
+  t.toggle("--supervise", opt.resilience.supervise,
+           "health supervision + checkpoint/restore");
+  t.value("--deadline", opt.resilience.deadline_cycles,
+          "per-request deadline budget in cycles (0 = none)");
+  t.value("--retries", opt.resilience.max_retries,
+          "max failover hops per request");
+  t.value("--backoff", opt.resilience.retry_backoff,
+          "retry backoff in cycles per failover hop");
+  t.value("--checkpoint-interval", opt.resilience.checkpoint_interval,
+          "verified-clean cycles between checkpoints");
+  t.value("--restore-cost", opt.resilience.restore_cost,
+          "virtual cycles a checkpoint restore occupies");
+  t.section("trace");
+  t.list("--trace", opt.trace_files,
+         "hwgc-trace-v1 files the sessions replay")
+      .metavar("FILE,..");
+  t.value("--trace-ops", opt.trace_ops, "baseline replay ops per request");
+  t.section("output");
+  t.value("--json", opt.json_path,
+          "hwgc-bench-v1 + hwgc-service-v1 JSONL sections")
+      .metavar("PATH");
+  t.value("--trace-json", opt.trace_json,
+          "Chrome-trace timeline of the first configuration")
+      .metavar("PATH");
+  t.toggle("--verbose", opt.verbose, "per-shard table for every configuration")
+      .alias("-v");
+  t.section("profile");
+  t.toggle("--profile", opt.profile,
+           "per-cycle stall attribution + request tracing");
+  t.value("--exemplars", opt.exemplars,
+          "slow-request exemplars kept per shard and fleet-wide");
+  t.value("--profile-json", opt.profile_json,
+          "hwgc-profile-v1 JSONL for every sweep point (implies --profile)")
+      .metavar("PATH");
+  t.value("--flame", opt.flame,
+          "Chrome-trace flame view of the first configuration's\n"
+          "exemplars (implies --profile)")
+      .metavar("PATH");
+  t.parse(argc, argv);
 
-void usage(std::FILE* to) {
-  std::fprintf(
-      to,
-      "usage: heapd [options]\n"
-      "  sweep:   --shards a,b,..  --scheduler\n"
-      "           reactive|proactive|roundrobin|pauseless,..\n"
-      "           --load a,b,..  --requests N  --seed N  --sessions N\n"
-      "  shard:   --heap-words N  --cores N  --closed-loop  --host-threads N\n"
-      "           --fast-forward 0|1  --slo N  --max-backlog N  --no-oracle\n"
-      "  faults:  --faults N  --fault-shard N  --fault-seed N\n"
-      "  storm:   --storm-fraction F  --storm-events N  --storm-seed N\n"
-      "           --storm-burst N  --storm-calm N  --storm-crashes N\n"
-      "  resil.:  --supervise  --deadline N  --retries N  --backoff N\n"
-      "           --checkpoint-interval N  --restore-cost N\n"
-      "  trace:   --trace FILE,..  --trace-ops N\n"
-      "  output:  --json PATH  --trace-json PATH  -v|--verbose\n"
-      "  profile: --profile  --exemplars N  --profile-json PATH"
-      "  --flame PATH\n"
-      "see the header of examples/heapd.cpp for semantics\n");
-}
-
-[[noreturn]] void die_usage(const char* fmt, const char* a0) {
-  std::fprintf(stderr, "heapd: ");
-  std::fprintf(stderr, fmt, a0);
-  std::fprintf(stderr, "\n");
-  usage(stderr);
-  std::exit(2);
-}
-
-/// Strict unsigned parse: the whole token must be a number. "12x", "",
-/// "-3" and overflow all reject — a malformed sweep value must never
-/// silently become 0 requests or shard 0.
-std::uint64_t parse_u64(const char* flag, const std::string& s) {
-  if (s.empty() || s.front() == '-') {
-    die_usage("malformed value for %s (need an unsigned integer)",
-              flag);
+  if (opt.host_threads == 0) {
+    opt.host_threads = std::max(1u, std::thread::hardware_concurrency());
   }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 0);
-  if (end == s.c_str() || *end != '\0' || errno == ERANGE) {
-    die_usage("malformed value for %s (need an unsigned integer)", flag);
+  if (opt.storm.shard_fraction < 0.0 || opt.storm.shard_fraction > 1.0) {
+    t.fail("--storm-fraction must be in [0, 1]");
   }
-  return v;
-}
-
-double parse_f64(const char* flag, const std::string& s) {
-  if (s.empty()) die_usage("malformed value for %s (need a number)", flag);
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (end == s.c_str() || *end != '\0' || errno == ERANGE) {
-    die_usage("malformed value for %s (need a number)", flag);
-  }
-  return v;
-}
-
-bool parse_args(int argc, char** argv, Options& opt) {
-  const auto next = [&](int& i) -> const char* {
-    if (i + 1 >= argc) die_usage("missing value for %s", argv[i]);
-    return argv[++i];
-  };
-  const auto next_u64 = [&](int& i) {
-    const char* flag = argv[i];
-    return parse_u64(flag, next(i));
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--shards") {
-      opt.shards.clear();
-      const char* flag = argv[i];
-      for (const auto& s : split_list(next(i))) {
-        opt.shards.push_back(
-            static_cast<std::size_t>(parse_u64(flag, s)));
-      }
-      if (opt.shards.empty()) die_usage("empty list for %s", flag);
-    } else if (a == "--scheduler") {
-      opt.schedulers.clear();
-      const char* flag = argv[i];
-      for (const auto& s : split_list(next(i))) {
-        const auto k = parse_scheduler(s);
-        if (!k.has_value()) die_usage("unknown scheduler \"%s\"", s.c_str());
-        opt.schedulers.push_back(*k);
-      }
-      if (opt.schedulers.empty()) die_usage("empty list for %s", flag);
-    } else if (a == "--load") {
-      opt.loads.clear();
-      const char* flag = argv[i];
-      for (const auto& s : split_list(next(i))) {
-        opt.loads.push_back(parse_f64(flag, s));
-      }
-      if (opt.loads.empty()) die_usage("empty list for %s", flag);
-    } else if (a == "--requests") {
-      opt.requests = next_u64(i);
-    } else if (a == "--seed") {
-      opt.seed = next_u64(i);
-    } else if (a == "--sessions") {
-      opt.sessions = static_cast<std::uint32_t>(next_u64(i));
-    } else if (a == "--heap-words") {
-      opt.heap_words = static_cast<Word>(next_u64(i));
-    } else if (a == "--cores") {
-      opt.cores = static_cast<std::uint32_t>(next_u64(i));
-    } else if (a == "--closed-loop") {
-      opt.closed_loop = true;
-    } else if (a == "--host-threads") {
-      opt.host_threads = static_cast<std::size_t>(next_u64(i));
-      if (opt.host_threads == 0) {
-        opt.host_threads =
-            std::max(1u, std::thread::hardware_concurrency());
-      }
-    } else if (a == "--fast-forward") {
-      opt.fast_forward = next_u64(i) != 0;
-    } else if (a == "--slo") {
-      opt.slo = next_u64(i);
-    } else if (a == "--max-backlog") {
-      opt.max_backlog = next_u64(i);
-    } else if (a == "--faults") {
-      opt.faults = static_cast<std::uint32_t>(next_u64(i));
-    } else if (a == "--fault-shard") {
-      opt.fault_shard = static_cast<std::size_t>(next_u64(i));
-    } else if (a == "--fault-seed") {
-      opt.fault_seed = next_u64(i);
-    } else if (a == "--storm-fraction") {
-      const char* flag = argv[i];
-      opt.storm.shard_fraction = parse_f64(flag, next(i));
-      if (opt.storm.shard_fraction < 0.0 || opt.storm.shard_fraction > 1.0) {
-        die_usage("%s must be in [0, 1]", flag);
-      }
-    } else if (a == "--storm-events") {
-      opt.storm.events_per_collection = static_cast<std::uint32_t>(next_u64(i));
-    } else if (a == "--storm-seed") {
-      opt.storm.seed = next_u64(i);
-    } else if (a == "--storm-burst") {
-      opt.storm.burst_requests = static_cast<std::uint32_t>(next_u64(i));
-    } else if (a == "--storm-calm") {
-      opt.storm.calm_requests = static_cast<std::uint32_t>(next_u64(i));
-    } else if (a == "--storm-crashes") {
-      opt.storm.crash_period = static_cast<std::uint32_t>(next_u64(i));
-    } else if (a == "--supervise") {
-      opt.resilience.supervise = true;
-    } else if (a == "--deadline") {
-      opt.resilience.deadline_cycles = next_u64(i);
-    } else if (a == "--retries") {
-      opt.resilience.max_retries = static_cast<std::uint32_t>(next_u64(i));
-    } else if (a == "--backoff") {
-      opt.resilience.retry_backoff = next_u64(i);
-    } else if (a == "--checkpoint-interval") {
-      opt.resilience.checkpoint_interval =
-          static_cast<std::uint32_t>(next_u64(i));
-    } else if (a == "--restore-cost") {
-      opt.resilience.restore_cost = next_u64(i);
-    } else if (a == "--trace") {
-      const char* flag = argv[i];
-      opt.trace_files = split_list(next(i));
-      if (opt.trace_files.empty()) die_usage("empty list for %s", flag);
-    } else if (a == "--trace-ops") {
-      opt.trace_ops = static_cast<std::uint32_t>(next_u64(i));
-      if (opt.trace_ops == 0) {
-        die_usage("%s", "--trace-ops must be >= 1");
-      }
-    } else if (a == "--no-oracle") {
-      opt.oracle = false;
-    } else if (a == "--json") {
-      opt.json_path = next(i);
-    } else if (a == "--trace-json") {
-      opt.trace_json = next(i);
-    } else if (a == "--profile") {
-      opt.profile = true;
-    } else if (a == "--exemplars") {
-      opt.exemplars = static_cast<std::uint32_t>(next_u64(i));
-    } else if (a == "--profile-json") {
-      opt.profile_json = next(i);
-    } else if (a == "--flame") {
-      opt.flame = next(i);
-    } else if (a == "-v" || a == "--verbose") {
-      opt.verbose = true;
-    } else if (a == "--help" || a == "-h") {
-      usage(stdout);
-      std::exit(0);
-    } else {
-      die_usage("unknown option: %s", a.c_str());
-    }
-  }
-  if (opt.faults > 0 && opt.fault_shard == ServiceConfig::kNoShard) {
-    opt.fault_shard = 0;
-  }
+  if (opt.trace_ops == 0) t.fail("--trace-ops must be >= 1");
   if (opt.storm.crash_period > 0 && !opt.resilience.supervise) {
-    die_usage("%s", "--storm-crashes requires --supervise (a crashed shard "
-                    "must be quarantined and restored)");
+    t.fail("--storm-crashes requires --supervise (a crashed shard must be "
+           "quarantined and restored)");
   }
   if (!opt.profile_json.empty() || !opt.flame.empty()) opt.profile = true;
   if (!opt.trace_files.empty() && opt.resilience.enabled()) {
-    die_usage("%s", "--trace is incompatible with --supervise/--deadline "
-                    "(checkpoint restores would rewind the root table under "
-                    "live trace cursors)");
+    t.fail("--trace is incompatible with --supervise/--deadline (checkpoint "
+           "restores would rewind the root table under live trace cursors)");
   }
-  return true;
 }
 
 ServiceConfig make_config(const Options& o, std::size_t shards,
@@ -394,10 +252,12 @@ void print_stats_row(const char* label, const SloStats& s) {
 }
 
 /// One sweep point. Returns false when the oracle, a read probe or the
-/// cross-shard validation found anything.
+/// cross-shard validation found anything. `trace_base` offsets this
+/// point's exemplar trace ids so the sweep's profile file keeps them
+/// unique (request ids restart at 0 in every configuration).
 bool run_config(const Options& o, const ServiceConfig& cfg,
-                MetricsRegistry& registry, std::string& service_jsonl,
-                std::string& profile_jsonl,
+                std::uint64_t trace_base, MetricsRegistry& registry,
+                std::string& service_jsonl, std::string& profile_jsonl,
                 std::vector<RequestExemplar>* flame_out, TelemetryBus* bus) {
   HeapService service(cfg);
   if (bus != nullptr) service.set_telemetry(bus);
@@ -530,7 +390,7 @@ bool run_config(const Options& o, const ServiceConfig& cfg,
                   static_cast<unsigned long long>(e.service), e.hops);
     }
     if (!o.profile_json.empty()) {
-      profile_jsonl += profile_report_jsonl(service, "heapd");
+      profile_jsonl += profile_report_jsonl(service, "heapd", trace_base);
     }
     if (flame_out != nullptr) *flame_out = slow;
   }
@@ -541,7 +401,7 @@ bool run_config(const Options& o, const ServiceConfig& cfg,
 
 int main(int argc, char** argv) {
   Options opt;
-  if (!parse_args(argc, argv, opt)) return 2;
+  parse_args(argc, argv, opt);
 
   if (!opt.trace_files.empty()) {
     auto loaded = std::make_shared<std::vector<Trace>>();
@@ -565,6 +425,7 @@ int main(int argc, char** argv) {
   TelemetryBus bus;
   bool all_ok = true;
   bool first = true;
+  std::uint64_t trace_base = 0;
 
   for (std::size_t shards : opt.shards) {
     for (GcSchedulerKind sched : opt.schedulers) {
@@ -575,8 +436,9 @@ int main(int argc, char** argv) {
         std::vector<RequestExemplar>* flame_out =
             (first && !opt.flame.empty()) ? &flame : nullptr;
         first = false;
-        all_ok &= run_config(opt, cfg, registry, service_jsonl, profile_jsonl,
-                             flame_out, attach);
+        all_ok &= run_config(opt, cfg, trace_base, registry, service_jsonl,
+                             profile_jsonl, flame_out, attach);
+        trace_base += opt.requests;
       }
     }
   }

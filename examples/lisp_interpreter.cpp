@@ -8,45 +8,28 @@
 // --record captures the whole evaluation as an hwgc-trace-v1 stream through
 // the Runtime trace sink; replay it with `tracectl replay session.jsonl`.
 #include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 
+#include "sim/flags.hpp"
 #include "trace/recorder.hpp"
 #include "workloads/lisp.hpp"
 
 using namespace hwgc;
-
-namespace {
-
-int usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--fib N] [--range N] [--record FILE] [--binary]\n",
-               argv0);
-  return 2;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   unsigned fib_n = 16;
   unsigned range_n = 60;
   std::string record_path;
   bool binary = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--fib" && i + 1 < argc) {
-      fib_n = static_cast<unsigned>(std::atoi(argv[++i]));
-    } else if (arg == "--range" && i + 1 < argc) {
-      range_n = static_cast<unsigned>(std::atoi(argv[++i]));
-    } else if (arg == "--record" && i + 1 < argc) {
-      record_path = argv[++i];
-    } else if (arg == "--binary") {
-      binary = true;
-    } else {
-      return usage(argv[0]);
-    }
-  }
+  Flags t("lisp_interpreter", "runs the fib + range/sum demo session");
+  t.value("--fib", fib_n, "fib argument of the demo");
+  t.value("--range", range_n, "range length of the demo");
+  t.value("--record", record_path,
+          "capture the evaluation as an hwgc-trace-v1 stream")
+      .metavar("FILE");
+  t.toggle("--binary", binary, "write the recorded trace in binary form");
+  t.parse(argc, argv);
 
   Lisp lisp;
   TraceRecorder recorder([] {

@@ -1,6 +1,6 @@
 // profile_diff — the hwgc-profile-v1 regression comparator.
 //
-// Usage:
+// Usage (see --help):
 //   profile_diff BASELINE CURRENT [--tolerance=F]
 //
 // Validates both files (schema identities + file-level span checks), then
@@ -16,42 +16,24 @@
 // snapshot so an attribution shift — a new stall class eating cycles, a
 // binding-resource flip — fails the build instead of rotting silently.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "profile/profile_metrics.hpp"
 #include "service/service_metrics.hpp"
+#include "sim/flags.hpp"
 
 int main(int argc, char** argv) {
   using namespace hwgc;
   double tolerance = 0.05;
   std::vector<std::string> files;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--tolerance=", 0) == 0) {
-      char* end = nullptr;
-      tolerance = std::strtod(arg.c_str() + 12, &end);
-      if (end == nullptr || *end != '\0' || tolerance < 0) {
-        std::fprintf(stderr, "profile_diff: bad tolerance: %s\n", arg.c_str());
-        return 2;
-      }
-    } else if (arg == "--help" || arg == "-h") {
-      std::printf("usage: %s BASELINE CURRENT [--tolerance=F]\n", argv[0]);
-      return 0;
-    } else if (arg.rfind("--", 0) == 0) {
-      std::fprintf(stderr, "profile_diff: unknown option: %s\n", arg.c_str());
-      return 2;
-    } else {
-      files.push_back(arg);
-    }
-  }
-  if (files.size() != 2) {
-    std::fprintf(stderr, "usage: %s BASELINE CURRENT [--tolerance=F]\n",
-                 argv[0]);
-    return 2;
-  }
+  Flags t("profile_diff", "the hwgc-profile-v1 regression comparator");
+  t.list("FILE", files, "BASELINE then CURRENT profile file");
+  t.value("--tolerance", tolerance,
+          "largest allowed absolute move of a class share");
+  t.parse(argc, argv);
+  if (tolerance < 0) t.fail("--tolerance must be >= 0");
+  if (files.size() != 2) t.fail("needs exactly two files");
 
   bool ok = true;
   for (const std::string& path : files) {

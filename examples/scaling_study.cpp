@@ -1,21 +1,16 @@
 // Scaling study: reproduce the paper's headline experiment interactively.
 //
 // Usage: ./examples/scaling_study [benchmark] [scale] [--json[=path]]
-//   benchmark  one of: compress cup db javac javacc jflex jlisp search
-//              (default: db — the best-scaling workload)
-//   scale      live-set scale factor (default 0.25)
-//   --json     also write the sweep as hwgc-bench-v1 JSONL
-//              (default path BENCH_scaling_study.json)
+// (see --help).
 //
 // Prints the collection-cycle duration and speedup at 1..16 cores plus
 // the per-configuration stall anatomy, so the trade-offs behind Figure 5
 // are visible benchmark by benchmark.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
-#include <vector>
 
 #include "core/coprocessor.hpp"
+#include "sim/flags.hpp"
 #include "telemetry/metrics.hpp"
 #include "workloads/benchmarks.hpp"
 
@@ -24,35 +19,20 @@ int main(int argc, char** argv) {
 
   bool json = false;
   std::string json_path = "BENCH_scaling_study.json";
-  std::vector<std::string> positional;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--json") {
-      json = true;
-    } else if (a.rfind("--json=", 0) == 0) {
-      json = true;
-      json_path = a.substr(7);
-    } else {
-      positional.push_back(a);
-    }
-  }
-
   BenchmarkId bench = BenchmarkId::kDb;
-  if (!positional.empty()) {
-    bool found = false;
-    for (BenchmarkId id : all_benchmarks()) {
-      if (benchmark_name(id) == positional[0]) {
-        bench = id;
-        found = true;
-      }
-    }
-    if (!found) {
-      std::fprintf(stderr, "unknown benchmark '%s'\n", positional[0].c_str());
-      return 2;
-    }
-  }
-  const double scale =
-      positional.size() > 1 ? std::strtod(positional[1].c_str(), nullptr) : 0.25;
+  double scale = 0.25;
+  Flags t("scaling_study", "collection-cycle duration, speedup and stall "
+                           "anatomy at 1..16 cores");
+  t.value("benchmark", bench,
+          choice(parse_benchmark,
+                 [](BenchmarkId id) { return benchmark_name(id); },
+                 all_benchmarks()),
+          "workload (db scales best)");
+  t.value("scale", scale, "live-set scale factor");
+  t.opt_value("--json", json, json_path,
+              "also write the sweep as hwgc-bench-v1 JSONL\n"
+              "(default path BENCH_scaling_study.json)");
+  t.parse(argc, argv);
 
   std::printf("workload: %s (scale %.3g)\n",
               std::string(benchmark_name(bench)).c_str(), scale);

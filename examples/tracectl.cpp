@@ -15,12 +15,12 @@
 // post-structure oracle, every read probe matched its recorded digest, and
 // (under --all) every collector produced the same live-graph digest.
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "sim/flags.hpp"
 #include "trace/corpus.hpp"
 #include "trace/recorder.hpp"
 #include "trace/replayer.hpp"
@@ -29,75 +29,50 @@ using namespace hwgc;
 
 namespace {
 
-int usage() {
-  std::fprintf(
-      stderr,
-      "usage: tracectl <command> [options]\n"
-      "  record    --out FILE [--binary] and one source:\n"
-      "            --benchmark NAME [--scale S] [--seed N] | --fuzz-seed N |\n"
-      "            --churn-seed N [--steps N] | --lisp [--fib N] [--range N]\n"
-      "  corpus    [--dir DIR]        regenerate the committed corpus\n"
-      "  replay    FILE [--collector NAME | --all] [--threads N] [--seed N]\n"
-      "  validate  FILE...            verify digest + structural invariants\n"
-      "  stats     FILE...            header + op-kind histogram\n"
-      "  minimize  --seed N --out FILE [--budget N]   fuzz-case -> trace\n"
-      "  transform FILE --scale-sizes F --out FILE [--binary]\n"
-      "            rescale object data sizes, re-deriving read digests\n");
-  return 2;
-}
-
-std::optional<BenchmarkId> parse_benchmark(const std::string& name) {
-  for (BenchmarkId id : all_benchmarks()) {
-    if (name == benchmark_name(id)) return id;
-  }
-  return std::nullopt;
-}
-
 int cmd_record(int argc, char** argv) {
   std::string out;
   bool binary = false;
-  std::string benchmark;
+  BenchmarkId benchmark = BenchmarkId::kDb;
   double scale = 0.002;
   std::uint64_t seed = 42;
-  std::optional<std::uint64_t> fuzz_seed;
-  std::optional<std::uint64_t> churn_seed;
+  std::uint64_t fuzz_seed = 0;
+  std::uint64_t churn_seed = 0;
   std::size_t steps = 600;
   bool lisp = false;
   unsigned fib_n = 8;
   unsigned range_n = 16;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--out" && i + 1 < argc) out = argv[++i];
-    else if (arg == "--binary") binary = true;
-    else if (arg == "--benchmark" && i + 1 < argc) benchmark = argv[++i];
-    else if (arg == "--scale" && i + 1 < argc) scale = std::atof(argv[++i]);
-    else if (arg == "--seed" && i + 1 < argc) seed = std::strtoull(argv[++i], nullptr, 0);
-    else if (arg == "--fuzz-seed" && i + 1 < argc) fuzz_seed = std::strtoull(argv[++i], nullptr, 0);
-    else if (arg == "--churn-seed" && i + 1 < argc) churn_seed = std::strtoull(argv[++i], nullptr, 0);
-    else if (arg == "--steps" && i + 1 < argc) steps = std::strtoull(argv[++i], nullptr, 0);
-    else if (arg == "--lisp") lisp = true;
-    else if (arg == "--fib" && i + 1 < argc) fib_n = static_cast<unsigned>(std::atoi(argv[++i]));
-    else if (arg == "--range" && i + 1 < argc) range_n = static_cast<unsigned>(std::atoi(argv[++i]));
-    else return usage();
-  }
-  if (out.empty()) return usage();
+  Flags t("tracectl record",
+          "records one trace; give --out and exactly one source flag\n"
+          "(--benchmark, --fuzz-seed, --churn-seed or --lisp)");
+  t.value("--out", out, "trace file to write").metavar("FILE");
+  t.toggle("--binary", binary, "binary serialization");
+  t.value("--benchmark", benchmark,
+          choice(parse_benchmark,
+                 [](BenchmarkId id) { return benchmark_name(id); },
+                 all_benchmarks()),
+          "source: one benchmark shape");
+  t.value("--scale", scale, "benchmark live-set scale");
+  t.value("--seed", seed, "benchmark seed");
+  t.value("--fuzz-seed", fuzz_seed, "source: adversarial fuzz graph");
+  t.value("--churn-seed", churn_seed, "source: shadow-mutator churn");
+  t.value("--steps", steps, "churn steps");
+  t.toggle("--lisp", lisp, "source: the lisp demo session");
+  t.value("--fib", fib_n, "lisp fib argument");
+  t.value("--range", range_n, "lisp range length");
+  t.parse(argc, argv);
+  if (out.empty()) t.fail("needs --out FILE");
 
   Trace trace;
-  if (!benchmark.empty()) {
-    const auto id = parse_benchmark(benchmark);
-    if (!id) {
-      std::fprintf(stderr, "unknown benchmark '%s'\n", benchmark.c_str());
-      return 2;
-    }
-    trace = trace_from_benchmark(*id, scale, seed);
-  } else if (fuzz_seed) {
-    trace = trace_from_fuzz_seed(*fuzz_seed);
-  } else if (churn_seed) {
-    trace = trace_from_churn(*churn_seed, steps);
+  if (t.seen("--benchmark")) {
+    trace = trace_from_benchmark(benchmark, scale, seed);
+  } else if (t.seen("--fuzz-seed")) {
+    trace = trace_from_fuzz_seed(fuzz_seed);
+  } else if (t.seen("--churn-seed")) {
+    trace = trace_from_churn(churn_seed, steps);
   } else if (lisp) {
     trace = trace_from_lisp(fib_n, range_n);
   } else {
-    return usage();
+    t.fail("needs a source flag");
   }
   save_trace(out, trace, binary);
   std::printf("%s: %zu events, %zu objects, digest 0x%llx\n", out.c_str(),
@@ -108,11 +83,9 @@ int cmd_record(int argc, char** argv) {
 
 int cmd_corpus(int argc, char** argv) {
   std::string dir = "traces";
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--dir" && i + 1 < argc) dir = argv[++i];
-    else return usage();
-  }
+  Flags t("tracectl corpus", "regenerates the committed trace corpus");
+  t.value("--dir", dir, "output directory").metavar("DIR");
+  t.parse(argc, argv);
   const std::size_t n = write_corpus(dir);
   std::printf("wrote %zu corpus traces to %s/\n", n, dir.c_str());
   return 0;
@@ -120,33 +93,27 @@ int cmd_corpus(int argc, char** argv) {
 
 int cmd_replay(int argc, char** argv) {
   std::string file;
-  std::string collector = "coprocessor";
+  CollectorId collector = CollectorId::kCoprocessor;
   bool all = false;
   ReplayConfig cfg;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--collector" && i + 1 < argc) collector = argv[++i];
-    else if (arg == "--all") all = true;
-    else if (arg == "--threads" && i + 1 < argc) cfg.threads = static_cast<std::uint32_t>(std::atoi(argv[++i]));
-    else if (arg == "--seed" && i + 1 < argc) cfg.schedule_seed = std::strtoull(argv[++i], nullptr, 0);
-    else if (arg.rfind("--", 0) == 0) return usage();
-    else if (file.empty()) file = arg;
-    else return usage();
-  }
-  if (file.empty()) return usage();
+  Flags t("tracectl replay",
+          "replays FILE under one collector or all of them; exit 0 only if\n"
+          "every cycle passed the oracle, every read probe matched and all\n"
+          "collectors agree on the live-graph digest");
+  t.value("FILE", file, "trace to replay");
+  t.value("--collector", collector,
+          choice(parse_collector, [](CollectorId id) { return to_string(id); },
+                 all_collectors()),
+          "collector to replay under");
+  t.toggle("--all", all, "replay under every collector");
+  t.value("--threads", cfg.threads, "collector threads/cores");
+  t.value("--seed", cfg.schedule_seed, "schedule seed");
+  t.parse(argc, argv);
+  if (file.empty()) t.fail("needs FILE");
 
   const Trace trace = load_trace(file);
-  std::vector<CollectorId> ids;
-  if (all) {
-    ids = all_collectors();
-  } else {
-    const auto id = parse_collector(collector);
-    if (!id) {
-      std::fprintf(stderr, "unknown collector '%s'\n", collector.c_str());
-      return 2;
-    }
-    ids.push_back(*id);
-  }
+  const std::vector<CollectorId> ids =
+      all ? all_collectors() : std::vector<CollectorId>{collector};
 
   bool ok = true;
   std::optional<std::uint64_t> reference_digest;
@@ -166,17 +133,29 @@ int cmd_replay(int argc, char** argv) {
   return ok ? 0 : 1;
 }
 
+/// The FILE... argument list of validate and stats.
+std::vector<std::string> parse_files(const char* tool, const char* about,
+                                     int argc, char** argv) {
+  std::vector<std::string> files;
+  Flags t(tool, about);
+  t.list("FILE", files, "trace files");
+  t.parse(argc, argv);
+  if (files.empty()) t.fail("needs at least one FILE");
+  return files;
+}
+
 int cmd_validate(int argc, char** argv) {
-  if (argc == 0) return usage();
   bool ok = true;
-  for (int i = 0; i < argc; ++i) {
+  for (const std::string& file :
+       parse_files("tracectl validate",
+                   "verifies digest + structural invariants", argc, argv)) {
     try {
-      const Trace t = load_trace(argv[i]);
-      std::printf("%s: ok (%zu events, digest 0x%llx)\n", argv[i],
+      const Trace t = load_trace(file);
+      std::printf("%s: ok (%zu events, digest 0x%llx)\n", file.c_str(),
                   t.ops.size(),
                   static_cast<unsigned long long>(t.digest()));
     } catch (const TraceError& e) {
-      std::printf("%s: %s\n", argv[i], e.what());
+      std::printf("%s: %s\n", file.c_str(), e.what());
       ok = false;
     }
   }
@@ -184,11 +163,12 @@ int cmd_validate(int argc, char** argv) {
 }
 
 int cmd_stats(int argc, char** argv) {
-  if (argc == 0) return usage();
-  for (int i = 0; i < argc; ++i) {
-    const Trace t = load_trace(argv[i]);
+  for (const std::string& file :
+       parse_files("tracectl stats", "header + op-kind histogram", argc,
+                   argv)) {
+    const Trace t = load_trace(file);
     const TraceHeader& h = t.header;
-    std::printf("%s\n", argv[i]);
+    std::printf("%s\n", file.c_str());
     std::printf("  name=%s semispace=%llu cores=%u fifo=%u schedule=%s "
                 "seed=%llu jitter=%llu\n",
                 h.name.c_str(),
@@ -211,27 +191,26 @@ int cmd_stats(int argc, char** argv) {
 }
 
 int cmd_minimize(int argc, char** argv) {
-  std::optional<std::uint64_t> seed;
+  std::uint64_t seed = 0;
   std::string out;
   std::uint32_t budget = 48;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--seed" && i + 1 < argc) seed = std::strtoull(argv[++i], nullptr, 0);
-    else if (arg == "--out" && i + 1 < argc) out = argv[++i];
-    else if (arg == "--budget" && i + 1 < argc) budget = static_cast<std::uint32_t>(std::atoi(argv[++i]));
-    else return usage();
-  }
-  if (!seed || out.empty()) return usage();
+  Flags t("tracectl minimize",
+          "fuzz case -> trace bridge: minimizes a failing case first");
+  t.value("--seed", seed, "fuzz master seed");
+  t.value("--out", out, "trace file to write").metavar("FILE");
+  t.value("--budget", budget, "oracle runs the minimizer may spend");
+  t.parse(argc, argv);
+  if (!t.seen("--seed") || out.empty()) t.fail("needs --seed N and --out FILE");
 
-  FuzzCase fc = case_from_seed(*seed);
+  FuzzCase fc = case_from_seed(seed);
   const FuzzVerdict verdict = run_fuzz_case(fc);
   if (!verdict.ok) {
     std::printf("seed %llu FAILS the differential oracle; minimizing...\n",
-                static_cast<unsigned long long>(*seed));
+                static_cast<unsigned long long>(seed));
     fc = minimize_case(fc, budget);
   } else {
     std::printf("seed %llu passes the oracle; emitting its trace as-is\n",
-                static_cast<unsigned long long>(*seed));
+                static_cast<unsigned long long>(seed));
   }
   const Trace trace = trace_from_fuzz_case(fc);
   save_trace(out, trace);
@@ -245,20 +224,21 @@ int cmd_transform(int argc, char** argv) {
   std::string in;
   std::string out;
   bool binary = false;
-  std::optional<double> scale;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--scale-sizes" && i + 1 < argc) scale = std::atof(argv[++i]);
-    else if (arg == "--out" && i + 1 < argc) out = argv[++i];
-    else if (arg == "--binary") binary = true;
-    else if (arg.rfind("--", 0) == 0) return usage();
-    else if (in.empty()) in = arg;
-    else return usage();
+  double scale = 1.0;
+  Flags t("tracectl transform",
+          "rescales object data sizes, re-deriving read digests");
+  t.value("FILE", in, "trace to transform");
+  t.value("--scale-sizes", scale, "data-size factor");
+  t.value("--out", out, "trace file to write").metavar("FILE");
+  t.toggle("--binary", binary, "binary serialization");
+  t.parse(argc, argv);
+  if (in.empty() || out.empty() || !t.seen("--scale-sizes")) {
+    t.fail("needs FILE, --scale-sizes F and --out FILE");
   }
-  if (in.empty() || out.empty() || !scale) return usage();
+  if (!(scale > 0.0)) t.fail("--scale-sizes must be > 0");
 
   const Trace trace = load_trace(in);
-  const Trace scaled = scale_trace_sizes(trace, *scale);
+  const Trace scaled = scale_trace_sizes(trace, scale);
   save_trace(out, scaled, binary);
   std::printf("%s: %zu events -> %zu, semispace %llu -> %llu, "
               "digest 0x%llx -> 0x%llx\n",
@@ -270,22 +250,47 @@ int cmd_transform(int argc, char** argv) {
   return 0;
 }
 
+struct Command {
+  const char* name;
+  const char* about;
+  int (*run)(int argc, char** argv);
+};
+
+constexpr Command kCommands[] = {
+    {"record", "record one trace (benchmark, fuzz, churn or lisp source)",
+     cmd_record},
+    {"corpus", "regenerate the committed corpus", cmd_corpus},
+    {"replay", "replay a trace under one collector or all", cmd_replay},
+    {"validate", "verify digest + structural invariants", cmd_validate},
+    {"stats", "header + op-kind histogram", cmd_stats},
+    {"minimize", "fuzz case -> trace bridge", cmd_minimize},
+    {"transform", "rescale object data sizes", cmd_transform},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return usage();
-  const std::string cmd = argv[1];
-  try {
-    if (cmd == "record") return cmd_record(argc - 2, argv + 2);
-    if (cmd == "corpus") return cmd_corpus(argc - 2, argv + 2);
-    if (cmd == "replay") return cmd_replay(argc - 2, argv + 2);
-    if (cmd == "validate") return cmd_validate(argc - 2, argv + 2);
-    if (cmd == "stats") return cmd_stats(argc - 2, argv + 2);
-    if (cmd == "minimize") return cmd_minimize(argc - 2, argv + 2);
-    if (cmd == "transform") return cmd_transform(argc - 2, argv + 2);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "tracectl: %s\n", e.what());
-    return 1;
+  const std::string cmd = argc > 1 ? argv[1] : "";
+  for (const Command& c : kCommands) {
+    if (cmd != c.name) continue;
+    try {
+      return c.run(argc - 1, argv + 1);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "tracectl: %s\n", e.what());
+      return 1;
+    }
   }
-  return usage();
+  std::string about = "commands (tracectl <command> --help lists its flags):";
+  for (const Command& c : kCommands) {
+    const std::string name = c.name;
+    about += "\n  " + name + std::string(12 - name.size(), ' ') + c.about;
+  }
+  Flags t("tracectl", about);
+  std::string command;
+  t.value("command", command, "one of the commands above");
+  if (cmd == "-h" || cmd == "--help") {
+    std::fputs(t.usage().c_str(), stdout);
+    return 0;
+  }
+  t.fail(cmd.empty() ? "missing command" : "unknown command " + cmd);
 }

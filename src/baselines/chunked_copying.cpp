@@ -40,6 +40,7 @@ struct ThreadState {
 }  // namespace
 
 ParallelGcStats ChunkedCopyingCollector::collect(Heap& heap) {
+  require_threads(cfg_.threads, "chunked-copying collector");
   const auto t0 = std::chrono::steady_clock::now();
   WordMemory& mem = heap.memory();
   SharedState st;

@@ -43,6 +43,7 @@ struct SharedState {
 }  // namespace
 
 ParallelGcStats NaiveParallelCheney::collect(Heap& heap) {
+  require_threads(cfg_.threads, "naive parallel collector");
   const auto t0 = std::chrono::steady_clock::now();
   WordMemory& mem = heap.memory();
   SharedState st(cfg_.header_lock_stripes);

@@ -23,6 +23,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -31,6 +33,17 @@
 #include "sim/rng.hpp"
 
 namespace hwgc {
+
+/// Every threaded baseline's collect() starts here: with no worker thread
+/// the per-thread state is empty and the work distribution divides by
+/// zero, so a zero-thread config is rejected the way the coprocessor
+/// rejects zero cores.
+inline void require_threads(std::uint32_t threads, const char* collector) {
+  if (threads == 0) {
+    throw std::invalid_argument(std::string(collector) +
+                                " needs >= 1 thread");
+  }
+}
 
 /// Schedule-perturbation knobs for the concurrency torture harness
 /// (examples/torture_gc.cpp). The software collectors must be correct under

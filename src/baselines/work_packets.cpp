@@ -26,6 +26,7 @@ struct SharedState {
 }  // namespace
 
 ParallelGcStats WorkPacketCollector::collect(Heap& heap) {
+  require_threads(cfg_.threads, "work-packet collector");
   const auto t0 = std::chrono::steady_clock::now();
   WordMemory& mem = heap.memory();
   SharedState st;

@@ -39,6 +39,7 @@ struct ThreadState {
 }  // namespace
 
 ParallelGcStats WorkStealingCollector::collect(Heap& heap) {
+  require_threads(cfg_.threads, "work-stealing collector");
   const auto t0 = std::chrono::steady_clock::now();
   WordMemory& mem = heap.memory();
   SharedState st;

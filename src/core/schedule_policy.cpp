@@ -89,16 +89,17 @@ std::unique_ptr<SchedulePolicy> make_schedule_policy(SchedulePolicyKind kind,
   return std::make_unique<FixedPrioritySchedule>();
 }
 
-bool parse_schedule_policy(const std::string& name, SchedulePolicyKind& out) {
-  for (auto k : {SchedulePolicyKind::kFixedPriority,
-                 SchedulePolicyKind::kRotating, SchedulePolicyKind::kRandom,
-                 SchedulePolicyKind::kAdversarial}) {
-    if (name == to_string(k)) {
-      out = k;
-      return true;
-    }
+std::vector<SchedulePolicyKind> all_schedule_policies() {
+  return {SchedulePolicyKind::kFixedPriority, SchedulePolicyKind::kRotating,
+          SchedulePolicyKind::kRandom, SchedulePolicyKind::kAdversarial};
+}
+
+std::optional<SchedulePolicyKind> parse_schedule_policy(
+    const std::string& name) {
+  for (const SchedulePolicyKind k : all_schedule_policies()) {
+    if (name == to_string(k)) return k;
   }
-  return false;
+  return std::nullopt;
 }
 
 std::string ScheduleTrace::dump() const {

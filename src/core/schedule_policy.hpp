@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -40,9 +41,12 @@ class SchedulePolicy {
 std::unique_ptr<SchedulePolicy> make_schedule_policy(SchedulePolicyKind kind,
                                                      std::uint64_t seed);
 
+/// Every policy, in enum order.
+std::vector<SchedulePolicyKind> all_schedule_policies();
+
 /// Parses a policy name ("fixed", "rotating", "random", "adversarial") as
-/// printed by to_string(SchedulePolicyKind). Returns false on unknown names.
-bool parse_schedule_policy(const std::string& name, SchedulePolicyKind& out);
+/// printed by to_string(SchedulePolicyKind); nullopt on junk.
+std::optional<SchedulePolicyKind> parse_schedule_policy(const std::string& name);
 
 /// Bounded ring of the most recent step orders. The fuzz driver attaches
 /// one to Coprocessor::collect and prints it when the differential oracle

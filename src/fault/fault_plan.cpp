@@ -6,14 +6,19 @@
 
 namespace hwgc {
 
-bool parse_fault_kind(const std::string& name, FaultKind& out) {
+std::vector<FaultKind> all_fault_kinds() {
+  std::vector<FaultKind> out;
   for (std::size_t k = 0; k < kFaultKindCount; ++k) {
-    if (name == to_string(static_cast<FaultKind>(k))) {
-      out = static_cast<FaultKind>(k);
-      return true;
-    }
+    out.push_back(static_cast<FaultKind>(k));
   }
-  return false;
+  return out;
+}
+
+std::optional<FaultKind> parse_fault_kind(const std::string& name) {
+  for (const FaultKind k : all_fault_kinds()) {
+    if (name == to_string(k)) return k;
+  }
+  return std::nullopt;
 }
 
 std::string FaultEvent::summary() const {

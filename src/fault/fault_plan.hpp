@@ -32,6 +32,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -71,9 +72,11 @@ constexpr const char* to_string(FaultKind k) noexcept {
   return "?";
 }
 
-/// Parses a fault-class name as printed by to_string. Returns false on
-/// unknown names.
-bool parse_fault_kind(const std::string& name, FaultKind& out);
+/// Every fault class, in enum order.
+std::vector<FaultKind> all_fault_kinds();
+
+/// Parses a fault-class name as printed by to_string; nullopt on junk.
+std::optional<FaultKind> parse_fault_kind(const std::string& name);
 
 constexpr bool is_mem_fault(FaultKind k) noexcept {
   return k == FaultKind::kMemDrop || k == FaultKind::kMemDuplicate ||

@@ -10,6 +10,7 @@
 #include "core/schedule_policy.hpp"
 #include "heap/object_model.hpp"
 #include "heap/verifier.hpp"
+#include "sim/flags.hpp"
 #include "sim/rng.hpp"
 
 namespace hwgc {
@@ -29,47 +30,57 @@ SimConfig FuzzCase::sim_config() const {
   return cfg;
 }
 
+void add_fuzz_case_flags(Flags& t, FuzzCase& fc) {
+  t.section("explicit case (replays a minimized reproducer; disables --seed)");
+  t.value("--graph-seed", fc.graph_seed, "object-graph seed").pin();
+  t.value("--schedule", fc.schedule,
+          choice(parse_schedule_policy,
+                 [](SchedulePolicyKind k) { return to_string(k); },
+                 all_schedule_policies()),
+          "step-order policy")
+      .pin();
+  t.value("--schedule-seed", fc.schedule_seed, "schedule and jitter seed")
+      .pin();
+  t.value("--cores", fc.num_cores, "coprocessor cores").pin();
+  t.value("--fifo", fc.header_fifo_capacity, "header FIFO capacity").pin();
+  t.value("--jitter", fc.latency_jitter, "memory latency jitter (cycles)")
+      .pin();
+  t.toggle("--subobject", fc.subobject_copy, "cache-line-granularity copying");
+  t.toggle("--earlyread", fc.markbit_early_read,
+           "mark-bit early-read optimization");
+  t.section("fault injection (routes the case through recovery; see "
+            "fault_lab for sweeps)");
+  t.value("--fault-events", fc.fault.events,
+          "seeded fault events to inject (0 = off)");
+  t.value("--fault-seed", fc.fault.seed, "fault plan seed");
+  t.value("--fault-mask", fc.fault.class_mask,
+          "bitmask of fault classes (bit i = class i)");
+  t.value("--fault-persistent", fc.fault.persistent_fraction,
+          "fraction of events that are hard faults");
+  t.value("--fault-scale", fc.fault.trigger_scale,
+          "trigger-point scale (cycles / transaction counts)");
+  t.section("graph shape");
+  t.value("--min-nodes", fc.graph.min_nodes, "fewest graph nodes");
+  t.value("--max-nodes", fc.graph.max_nodes, "most graph nodes");
+  t.value("--max-pi", fc.graph.max_pi, "most pointer fields per object");
+  t.value("--max-delta", fc.graph.max_delta, "most data words per object");
+  t.value("--edge-prob", fc.graph.edge_probability,
+          "chance a pointer field is wired");
+  t.value("--garbage", fc.graph.garbage_fraction, "unreachable node share");
+  t.value("--huge-frac", fc.graph.huge_fraction, "huge object share");
+  t.value("--huge-delta", fc.graph.huge_delta, "most data words of a huge object");
+  t.value("--hubs", fc.graph.hubs, "hub objects");
+  t.value("--mutation", fc.graph.mutation_fraction,
+          "share of wired fields re-targeted after the build");
+  t.value("--max-roots", fc.graph.max_roots, "most roots");
+}
+
 std::string FuzzCase::summary() const {
-  std::ostringstream os;
-  os << "--graph-seed " << graph_seed << " --schedule " << to_string(schedule)
-     << " --schedule-seed " << schedule_seed << " --cores " << num_cores
-     << " --fifo " << header_fifo_capacity << " --jitter " << latency_jitter;
-  if (subobject_copy) os << " --subobject";
-  if (markbit_early_read) os << " --earlyread";
-  if (fault.enabled()) {
-    os << " --fault-events " << fault.events << " --fault-seed " << fault.seed;
-    const FaultConfig fdef;
-    if (fault.class_mask != fdef.class_mask) {
-      os << " --fault-mask " << fault.class_mask;
-    }
-    if (fault.persistent_fraction != fdef.persistent_fraction) {
-      os << " --fault-persistent " << fault.persistent_fraction;
-    }
-    if (fault.trigger_scale != fdef.trigger_scale) {
-      os << " --fault-scale " << fault.trigger_scale;
-    }
-  }
-  const FuzzGraphConfig def;
-  if (graph.min_nodes != def.min_nodes) os << " --min-nodes " << graph.min_nodes;
-  if (graph.max_nodes != def.max_nodes) os << " --max-nodes " << graph.max_nodes;
-  if (graph.max_pi != def.max_pi) os << " --max-pi " << graph.max_pi;
-  if (graph.max_delta != def.max_delta) os << " --max-delta " << graph.max_delta;
-  if (graph.edge_probability != def.edge_probability) {
-    os << " --edge-prob " << graph.edge_probability;
-  }
-  if (graph.garbage_fraction != def.garbage_fraction) {
-    os << " --garbage " << graph.garbage_fraction;
-  }
-  if (graph.huge_fraction != def.huge_fraction) {
-    os << " --huge-frac " << graph.huge_fraction;
-  }
-  if (graph.huge_delta != def.huge_delta) os << " --huge-delta " << graph.huge_delta;
-  if (graph.hubs != def.hubs) os << " --hubs " << graph.hubs;
-  if (graph.mutation_fraction != def.mutation_fraction) {
-    os << " --mutation " << graph.mutation_fraction;
-  }
-  if (graph.max_roots != def.max_roots) os << " --max-roots " << graph.max_roots;
-  return os.str();
+  FuzzCase shown;  // bound at its defaults, which the table records
+  Flags t("fuzz_gc");
+  add_fuzz_case_flags(t, shown);
+  shown = *this;
+  return t.render();
 }
 
 std::string FuzzVerdict::summary() const {

@@ -48,9 +48,17 @@ struct FuzzCase {
   /// The simulator configuration this case runs under.
   SimConfig sim_config() const;
 
-  /// Replayable one-line description in `fuzz_gc` flag syntax.
+  /// Replayable one-line description in `fuzz_gc` flag syntax, rendered
+  /// from add_fuzz_case_flags: the pinned core of the case plus every
+  /// field that differs from its default.
   std::string summary() const;
 };
+
+class Flags;
+
+/// Declares the flags that spell out one FuzzCase, bound to `fc`: the one
+/// table fuzz_gc parses an explicit case with and summary() renders.
+void add_fuzz_case_flags(Flags& flags, FuzzCase& fc);
 
 struct FuzzVerdict {
   bool ok = true;

@@ -109,12 +109,15 @@ const std::vector<JsonField>& service_record_fields() {
 }
 
 std::string profile_report_jsonl(const HeapService& service,
-                                 const std::string& suite) {
+                                 const std::string& suite,
+                                 std::uint64_t trace_base) {
   std::string out;
   for (std::size_t i = 0; i < service.shard_count(); ++i) {
     out += profile_attribution_jsonl(service.shard_attribution(i), suite);
   }
-  out += exemplar_spans_jsonl(service.slowest_requests(), suite);
+  std::vector<RequestExemplar> slow = service.slowest_requests();
+  for (RequestExemplar& e : slow) e.request_id += trace_base;
+  out += exemplar_spans_jsonl(slow, suite);
   return out;
 }
 

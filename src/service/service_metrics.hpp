@@ -52,10 +52,13 @@ bool validate_service_jsonl_line(const std::string& line, std::string* error);
 
 /// The service's hwgc-profile-v1 section (cfg.profile.enabled runs): one
 /// attribution record per shard followed by the span trees of the fleet's
-/// K slowest requests. Deterministic byte-for-byte, at any host thread
+/// K slowest requests, whose trace ids are their request ids plus
+/// `trace_base` (a sweep writing several services into one file passes
+/// disjoint bases). Deterministic byte-for-byte, at any host thread
 /// count. Call between serve() calls (lanes drained).
 std::string profile_report_jsonl(const HeapService& service,
-                                 const std::string& suite);
+                                 const std::string& suite,
+                                 std::uint64_t trace_base = 0);
 
 /// The file gate over every hwgc schema: validates each line of `path`
 /// against the schema its "schema" field names (hwgc-bench-v1,

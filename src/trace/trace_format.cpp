@@ -465,9 +465,9 @@ Trace trace_from_jsonl(const std::string& text) {
       h.header_fifo_capacity =
           static_cast<std::uint32_t>(need_u64(kv, "fifo", where));
       const std::string sched = need_str(kv, "schedule", where);
-      if (!parse_schedule_policy(sched, h.schedule)) {
-        fail("unknown schedule policy '" + sched + "' in " + where);
-      }
+      const auto policy = parse_schedule_policy(sched);
+      if (!policy) fail("unknown schedule policy '" + sched + "' in " + where);
+      h.schedule = *policy;
       h.schedule_seed = need_u64(kv, "schedule_seed", where);
       h.latency_jitter = need_u64(kv, "jitter", where);
       h.subobject_copy = need_u64(kv, "subobject", where) != 0;
@@ -689,8 +689,7 @@ bool validate_trace_jsonl_line(const std::string& line, std::string* error) {
       return set_error(error, "header: \"fifo\" must be a number");
     }
     const auto sched = req_str(kv, "schedule");
-    SchedulePolicyKind kind;
-    if (!sched || !parse_schedule_policy(*sched, kind)) {
+    if (!sched || !parse_schedule_policy(*sched)) {
       return set_error(error, "header: unknown \"schedule\" policy");
     }
     for (const char* key : {"schedule_seed", "jitter", "events", "digest"}) {

@@ -31,6 +31,13 @@ const std::vector<BenchmarkId>& all_benchmarks() {
   return kAll;
 }
 
+std::optional<BenchmarkId> parse_benchmark(std::string_view name) {
+  for (const BenchmarkId id : all_benchmarks()) {
+    if (benchmark_name(id) == name) return id;
+  }
+  return std::nullopt;
+}
+
 namespace {
 
 std::uint32_t scaled(double scale, std::uint32_t base,

@@ -26,6 +26,7 @@
 //             and the prolonged scan critical section of Table II.
 #pragma once
 
+#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -48,6 +49,9 @@ std::string_view benchmark_name(BenchmarkId id);
 
 /// All eight benchmarks in the paper's (alphabetical) table order.
 const std::vector<BenchmarkId>& all_benchmarks();
+
+/// Parses a benchmark name as printed by benchmark_name; nullopt on junk.
+std::optional<BenchmarkId> parse_benchmark(std::string_view name);
 
 /// Builds the graph plan for one benchmark. `scale` multiplies the live-set
 /// size (1.0 reproduces paper-magnitude collection cycles; benches default

@@ -50,6 +50,25 @@ std::vector<std::string> diagnose(CollectorId id, Corrupt&& corrupt) {
   return errors;
 }
 
+// A threaded baseline given zero worker threads must refuse the config the
+// way the coprocessor refuses zero cores — a verdict naming the throw, not
+// a crash in the work distribution.
+TEST(ConformanceNegative, ZeroThreadBaselinesThrow) {
+  RandomGraphConfig g;
+  g.nodes = 24;
+  for (const CollectorId id : {CollectorId::kNaive, CollectorId::kChunked,
+                               CollectorId::kPackets, CollectorId::kStealing}) {
+    ConformanceCase c;
+    c.plan = make_random_plan(5, g);
+    c.harness.threads = 0;
+    const ConformanceVerdict v = run_conformance_case(id, c);
+    EXPECT_FALSE(v.ok) << to_string(id);
+    EXPECT_TRUE(has_error(v.errors, std::string(to_string(id)) + " threw: "))
+        << joined(v.errors);
+    EXPECT_TRUE(has_error(v.errors, "needs >= 1 thread")) << joined(v.errors);
+  }
+}
+
 TEST(ConformanceNegative, CleanCollectionHasNoDiagnostics) {
   const auto errors =
       diagnose(CollectorId::kSequential, [](const HeapSnapshot&, Heap&) {});

@@ -68,14 +68,11 @@ TEST(FaultPlan, TargetsOnlyConfiguredCores) {
 }
 
 TEST(FaultPlan, ParseRoundTripsEveryKindName) {
-  for (std::size_t k = 0; k < kFaultKindCount; ++k) {
-    const FaultKind kind = static_cast<FaultKind>(k);
-    FaultKind parsed;
-    ASSERT_TRUE(parse_fault_kind(to_string(kind), parsed)) << to_string(kind);
-    EXPECT_EQ(parsed, kind);
+  for (const FaultKind kind : all_fault_kinds()) {
+    EXPECT_EQ(parse_fault_kind(to_string(kind)), kind) << to_string(kind);
   }
-  FaultKind parsed;
-  EXPECT_FALSE(parse_fault_kind("definitely-not-a-fault", parsed));
+  EXPECT_EQ(all_fault_kinds().size(), kFaultKindCount);
+  EXPECT_FALSE(parse_fault_kind("definitely-not-a-fault").has_value());
 }
 
 FaultEvent mem_drop_event(CoreId core = 0) {

@@ -10,6 +10,7 @@
 // the matrix also exercises backpressure and sub-object copying.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <set>
 #include <string>
@@ -22,6 +23,7 @@
 #include "fuzz/fuzz_graph.hpp"
 #include "fuzz/oracle.hpp"
 #include "sim/config.hpp"
+#include "sim/flags.hpp"
 #include "workloads/benchmarks.hpp"
 
 namespace hwgc {
@@ -115,15 +117,11 @@ TEST(SchedulePolicy, AdversarialStepsLockHoldersLast) {
 }
 
 TEST(SchedulePolicy, ParseRoundTripsAllNames) {
-  for (const SchedulePolicyKind kind :
-       {SchedulePolicyKind::kFixedPriority, SchedulePolicyKind::kRotating,
-        SchedulePolicyKind::kRandom, SchedulePolicyKind::kAdversarial}) {
-    SchedulePolicyKind parsed{};
-    ASSERT_TRUE(parse_schedule_policy(to_string(kind), parsed));
-    EXPECT_EQ(parsed, kind);
+  for (const SchedulePolicyKind kind : all_schedule_policies()) {
+    EXPECT_EQ(parse_schedule_policy(to_string(kind)), kind);
   }
-  SchedulePolicyKind parsed{};
-  EXPECT_FALSE(parse_schedule_policy("bogus", parsed));
+  EXPECT_EQ(all_schedule_policies().size(), 4u);
+  EXPECT_FALSE(parse_schedule_policy("bogus").has_value());
 }
 
 TEST(ScheduleTrace, RingKeepsOnlyTheTail) {
@@ -194,6 +192,105 @@ TEST(FuzzCase, JitteredScheduleTraceIsSeedDeterministic) {
   Coprocessor c3(other, *w3.heap);
   const GcCycleStats s3 = c3.collect();
   EXPECT_NE(s1.total_cycles, s3.total_cycles);
+}
+
+// ---------------------------------------------------------------------------
+// Reproducer lines: summary() renders fuzz_gc's case table, and parsing it
+// back through the same table must rebuild the case field for field.
+// ---------------------------------------------------------------------------
+
+void expect_same_case(const FuzzCase& a, const FuzzCase& b,
+                      const std::string& line) {
+  EXPECT_EQ(a.graph_seed, b.graph_seed) << line;
+  EXPECT_EQ(a.schedule, b.schedule) << line;
+  EXPECT_EQ(a.schedule_seed, b.schedule_seed) << line;
+  EXPECT_EQ(a.num_cores, b.num_cores) << line;
+  EXPECT_EQ(a.header_fifo_capacity, b.header_fifo_capacity) << line;
+  EXPECT_EQ(a.latency_jitter, b.latency_jitter) << line;
+  EXPECT_EQ(a.subobject_copy, b.subobject_copy) << line;
+  EXPECT_EQ(a.markbit_early_read, b.markbit_early_read) << line;
+  EXPECT_EQ(a.fault.seed, b.fault.seed) << line;
+  EXPECT_EQ(a.fault.events, b.fault.events) << line;
+  EXPECT_EQ(a.fault.persistent_fraction, b.fault.persistent_fraction) << line;
+  EXPECT_EQ(a.fault.class_mask, b.fault.class_mask) << line;
+  EXPECT_EQ(a.fault.trigger_scale, b.fault.trigger_scale) << line;
+  const FuzzGraphConfig& g = a.graph;
+  const FuzzGraphConfig& h = b.graph;
+  EXPECT_EQ(g.min_nodes, h.min_nodes) << line;
+  EXPECT_EQ(g.max_nodes, h.max_nodes) << line;
+  EXPECT_EQ(g.max_pi, h.max_pi) << line;
+  EXPECT_EQ(g.max_delta, h.max_delta) << line;
+  EXPECT_EQ(g.edge_probability, h.edge_probability) << line;
+  EXPECT_EQ(g.garbage_fraction, h.garbage_fraction) << line;
+  EXPECT_EQ(g.huge_fraction, h.huge_fraction) << line;
+  EXPECT_EQ(g.huge_delta, h.huge_delta) << line;
+  EXPECT_EQ(g.hubs, h.hubs) << line;
+  EXPECT_EQ(g.hub_in_probability, h.hub_in_probability) << line;
+  EXPECT_EQ(g.mutation_fraction, h.mutation_fraction) << line;
+  EXPECT_EQ(g.max_roots, h.max_roots) << line;
+  EXPECT_EQ(g.empty_root_probability, h.empty_root_probability) << line;
+}
+
+/// Parses a summary() line through the case table into a fresh FuzzCase.
+FuzzCase parse_summary(const std::string& line) {
+  std::vector<std::string> args;
+  std::size_t pos = 0;
+  while (pos < line.size()) {
+    const std::size_t sp = std::min(line.find(' ', pos), line.size());
+    args.push_back(line.substr(pos, sp - pos));
+    pos = sp + 1;
+  }
+  FuzzCase parsed;
+  Flags t("fuzz_gc");
+  add_fuzz_case_flags(t, parsed);
+  EXPECT_EQ(t.try_parse(args), "") << line;
+  return parsed;
+}
+
+TEST(FuzzCase, SummaryParsesBackToTheSameCase) {
+  for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+    const FuzzCase fc = case_from_seed(seed);
+    const std::string line = fc.summary();
+    expect_same_case(fc, parse_summary(line), line);
+  }
+}
+
+TEST(FuzzCase, MinimizedAndFaultCaseSummariesParseBack) {
+  // The shapes minimize_case produces: halved nodes, zeroed fractions.
+  FuzzCase small = case_from_seed(7);
+  small.graph.max_nodes /= 2;
+  small.graph.min_nodes = std::min(small.graph.min_nodes, small.graph.max_nodes);
+  small.graph.max_delta = 1;
+  small.graph.huge_fraction = 0.0;
+  small.graph.hubs = 0;
+  small.graph.mutation_fraction = 0.0;
+  small.graph.garbage_fraction = 0.0;
+  expect_same_case(small, parse_summary(small.summary()), small.summary());
+
+  // A fault-injected case as fault_lab builds them, with odd fractions.
+  FuzzCase faulty = case_from_seed(9);
+  faulty.fault.seed = 3;
+  faulty.fault.events = 4;
+  faulty.fault.trigger_scale = 48;
+  faulty.fault.class_mask = 1u << 3;
+  faulty.fault.persistent_fraction = 1.0 / 3.0;
+  faulty.graph.edge_probability = 0.123456789;
+  expect_same_case(faulty, parse_summary(faulty.summary()), faulty.summary());
+}
+
+TEST(FuzzCase, SummaryKeepsTheReproducerLayout) {
+  FuzzCase fc;
+  fc.graph_seed = 9;
+  fc.schedule = SchedulePolicyKind::kAdversarial;
+  fc.num_cores = 3;
+  fc.subobject_copy = true;
+  fc.fault.events = 2;
+  fc.fault.seed = 5;
+  fc.graph.max_nodes = 40;
+  EXPECT_EQ(fc.summary(),
+            "--graph-seed 9 --schedule adversarial --schedule-seed 0 --cores 3 "
+            "--fifo 32768 --jitter 0 --subobject --fault-events 2 "
+            "--fault-seed 5 --max-nodes 40");
 }
 
 TEST(FuzzGraph, EmptyRootSetIsReachable) {
