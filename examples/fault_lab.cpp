@@ -69,6 +69,9 @@ void parse_args(int argc, char** argv, Options& opt) {
       .alias("-v");
   t.parse(argc, argv);
   if (opt.seeds == 0) t.fail("--seeds must be >= 1");
+  for (const std::uint32_t cores : opt.cores) {
+    if (cores == 0) t.fail("--cores must be >= 1");
+  }
 }
 
 struct Tally {

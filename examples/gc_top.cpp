@@ -110,6 +110,11 @@ CliOptions parse(int argc, char** argv) {
       .metavar("PATH");
   t.parse(argc, argv);
   if (o.cores == 0) t.fail("--cores must be >= 1");
+  const Word min_words = ShadowMutator::Config{}.max_object_words();
+  if (o.heap_words < min_words) {
+    t.fail("--heap-words must be >= " + std::to_string(min_words) +
+           " (one max-shape object)");
+  }
   if (o.storm_pct > 100) t.fail("--storm must be a percentage (0..100)");
   return o;
 }

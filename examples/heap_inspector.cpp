@@ -20,6 +20,7 @@ int main(int argc, char** argv) {
   Flags t("heap_inspector", "dumps the tricolor life of one collection cycle");
   t.value("scale", scale, "live-set scale factor of the jlisp workload");
   t.parse(argc, argv);
+  if (!(scale > 0.0)) t.fail("scale must be > 0");
 
   Workload w = make_benchmark(BenchmarkId::kJlisp, scale);
   Heap& heap = *w.heap;

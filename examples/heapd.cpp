@@ -57,6 +57,7 @@
 #include "sim/flags.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace_export.hpp"
+#include "workloads/mutator.hpp"
 
 namespace {
 
@@ -187,6 +188,17 @@ void parse_args(int argc, char** argv, Options& opt) {
       .metavar("PATH");
   t.parse(argc, argv);
 
+  for (const std::size_t shards : opt.shards) {
+    if (shards == 0) t.fail("--shards must be >= 1");
+  }
+  if (opt.sessions == 0) t.fail("--sessions must be >= 1");
+  // Trace mode sizes each shard's semispace from its traces; otherwise the
+  // shadow mutator needs room for one max-shape object.
+  const Word min_words = ShadowMutator::Config{}.max_object_words();
+  if (opt.trace_files.empty() && opt.heap_words < min_words) {
+    t.fail("--heap-words must be >= " + std::to_string(min_words) +
+           " (one max-shape object)");
+  }
   if (opt.host_threads == 0) {
     opt.host_threads = std::max(1u, std::thread::hardware_concurrency());
   }

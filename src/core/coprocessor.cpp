@@ -87,8 +87,8 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
   }
 
   // Done bookkeeping: kDone is absorbing, so a per-core flag plus a count
-  // replaces the every-cycle all-cores scan, and (fault-free) lets the
-  // step and signature loops skip finished cores entirely.
+  // replaces the every-cycle all-cores scan and lets the step loop skip
+  // finished cores entirely.
   std::vector<std::uint8_t> core_done(n, 0);
   std::uint32_t done_count = 0;
 
@@ -96,11 +96,11 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
   // the schedule policy picks. The default fixed order realizes the SB's
   // static-priority arbitration and its same-cycle lock hand-off; the
   // other policies explore alternative interleavings (src/fuzz/).
-  // Watchdog activity monitor: per-core progress signature and the cycle it
-  // last changed, so an expiry can localize the core that stopped making
-  // progress (a fail-stopped core misses its clock and freezes; a merely
-  // stalled or idle core still accrues stall/idle cycles).
-  std::vector<Cycle> last_sig(n, 0), last_change(n, 0);
+  // Watchdog activity monitor: the last cycle each core was clocked —
+  // stepped while unfinished, or charged an injected stall — so an expiry
+  // can localize the core that stopped making progress (a fail-stopped
+  // core misses its clock; a merely stalled or idle core is still clocked).
+  std::vector<Cycle> last_change(n, 0);
 
   bool cores_halted = false;
   Cycle halted_at = 0;
@@ -111,9 +111,8 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
   // to the budget boundary). Localize a suspect before aborting. First
   // preference: a ScanState bit that reads busy while the core's
   // architectural bit is clear (stuck-at-1 fault). Second: the unfinished
-  // core whose activity signature has been frozen the longest — a core
-  // that missed its clock for an eighth of the whole budget is
-  // fail-stopped, not slow.
+  // core that has gone unclocked the longest — a core that missed its
+  // clock for an eighth of the whole budget is fail-stopped, not slow.
   const auto watchdog_abort = [&]() {
     CoreId suspect = kNoCore;
     for (CoreId c = 0; c < n && suspect == kNoCore; ++c) {
@@ -234,9 +233,8 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
             cores[c].ff_absorb_idle(k);
             break;
           default:
-            continue;  // kSkip: counters frozen, signature unchanged
+            continue;  // kSkip: not clocked
         }
-        last_sig[c] = cores[c].activity_signature();
         last_change[c] = target - 1;
       }
       if (sb.barrier_generation() > start_gen && sb.worklist_empty()) {
@@ -294,28 +292,22 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
       if (schedule_trace != nullptr) schedule_trace->record(now, step_order);
       for (CoreId c : step_order) {
         if (fault != nullptr) {
+          // Consulted for every core, finished ones included: the fate
+          // stream must not depend on which cores are done.
           const CoreFate fate = fault->core_fate(c, sb.holds_free(c));
           if (fate == CoreFate::kStopped) continue;  // fail-stop: no clock
           if (fate == CoreFate::kStall) {
             cores[c].note_fault_stall();
+            last_change[c] = now;
             continue;
           }
-        } else if (core_done[c] != 0) {
-          continue;  // fault-free: a finished core's step is a no-op
         }
+        if (core_done[c] != 0) continue;  // a finished core's step is a no-op
         cores[c].step(now);
-      }
-      for (CoreId c = 0; c < n; ++c) {
-        if (core_done[c] != 0) {
-          if (fault == nullptr) continue;  // signature frozen once done
-        } else if (cores[c].done()) {
+        last_change[c] = now;
+        if (cores[c].done()) {
           core_done[c] = 1;
           ++done_count;
-        }
-        const Cycle sig = cores[c].activity_signature();
-        if (sig != last_sig[c]) {
-          last_sig[c] = sig;
-          last_change[c] = now;
         }
       }
       cores_halted = done_count == n;

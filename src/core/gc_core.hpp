@@ -62,15 +62,6 @@ class GcCore {
   /// stall holds the core's clock for this cycle.
   void note_fault_stall() { stall(StallReason::kFault); }
 
-  /// Monotone progress signature for the watchdog's per-core activity
-  /// monitor: advances every cycle the core is stepped (work, idle spin or
-  /// stall all count), freezes only when the core misses its clock — which
-  /// under fault injection means a fail-stopped core.
-  Cycle activity_signature() const noexcept {
-    return counters_.busy_cycles + counters_.idle_cycles +
-           counters_.total_stalls();
-  }
-
   // --- fast-forward support (DESIGN.md §13) -------------------------------
 
   /// Core-local quiescence classification. A core is quiescent when every

@@ -10,7 +10,7 @@ namespace hwgc {
 
 SyncBlock::SyncBlock(std::uint32_t num_cores, FaultInjector* fault)
     : fault_(fault),
-      header_locks_(num_cores),
+      header_locks_(num_cores, kNullPtr),
       busy_(num_cores, 0),
       barrier_arrived_(num_cores, 0) {
   assert(num_cores >= 1);
@@ -99,8 +99,8 @@ bool SyncBlock::try_lock_header(CoreId core, Addr addr) {
 }
 
 void SyncBlock::unlock_header(CoreId core) {
-  assert(header_locks_[core].has_value() && "unlock of unheld header lock");
-  header_locks_[core].reset();
+  assert(header_locks_[core] != kNullPtr && "unlock of unheld header lock");
+  header_locks_[core] = kNullPtr;
 }
 
 bool SyncBlock::busy(CoreId core) const {
@@ -109,6 +109,7 @@ bool SyncBlock::busy(CoreId core) const {
 }
 
 bool SyncBlock::all_idle() const {
+  if (fault_ == nullptr) return busy_count_ == 0;
   for (CoreId c = 0; c < num_cores(); ++c) {
     if (busy(c)) return false;
   }

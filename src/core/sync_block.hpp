@@ -6,7 +6,8 @@
 //  * one header-lock register per core, compared associatively against all
 //    other cores' registers (a small CAM) on each acquisition attempt;
 //  * the ScanState register of per-core busy bits for termination
-//    detection;
+//    detection (all_idle() reads one count, as the hardware reads one
+//    register);
 //  * a barrier: any micro-instruction can be marked synchronizing, and the
 //    SB stalls a core executing one until all cores have reached such an
 //    instruction.
@@ -23,8 +24,8 @@
 #pragma once
 
 #include <array>
+#include <cassert>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -95,7 +96,7 @@ class SyncBlock {
   bool holds_scan(CoreId core) const noexcept { return scan_owner_ == core; }
   bool holds_free(CoreId core) const noexcept { return free_owner_ == core; }
   bool holds_header(CoreId core) const noexcept {
-    return header_locks_[core].has_value();
+    return header_locks_[core] != kNullPtr;
   }
 
   /// Sentinel for "no core" in the owner accessors below.
@@ -111,6 +112,7 @@ class SyncBlock {
   /// register holds `addr`? kNoOwner when none (the acquisition would
   /// succeed). Pure; never fires fault hooks.
   CoreId header_lock_holder(CoreId self, Addr addr) const noexcept {
+    assert(addr != kNullPtr);
     for (CoreId other = 0; other < num_cores(); ++other) {
       if (other != self && header_locks_[other] == addr) return other;
     }
@@ -119,7 +121,15 @@ class SyncBlock {
 
   // --- ScanState (termination detection) ----------------------------------
 
-  void set_busy(CoreId core, bool b) noexcept { busy_[core] = b; }
+  void set_busy(CoreId core, bool b) noexcept {
+    if ((busy_[core] != 0) == b) return;
+    busy_[core] = b ? 1 : 0;
+    if (b) {
+      ++busy_count_;
+    } else {
+      --busy_count_;
+    }
+  }
 
   /// Reads the ScanState bit as the hardware would — including any injected
   /// stuck-at-1 fault on it.
@@ -130,7 +140,9 @@ class SyncBlock {
   bool busy_raw(CoreId core) const noexcept { return busy_[core] != 0; }
 
   /// True when no core's busy bit is set — combined with scan == free this
-  /// is the termination condition of Section IV.
+  /// is the termination condition of Section IV. O(1) from the busy count;
+  /// fault runs read every bit through busy(), since a stuck-at-1 fault is
+  /// a per-core consult.
   bool all_idle() const;
 
   // --- stripe dispenser (Section VII future work 1) -------------------------
@@ -235,8 +247,9 @@ class SyncBlock {
   bool stripe_grabbed_this_cycle_ = false;
   std::array<StripeJob, kStripeSlots> stripe_slots_{};
   std::array<bool, kStripeSlots> stripe_slot_active_{};
-  std::vector<std::optional<Addr>> header_locks_;
+  std::vector<Addr> header_locks_;  // kNullPtr: register free
   std::vector<std::uint8_t> busy_;
+  std::uint32_t busy_count_ = 0;  // set bits in busy_
   std::vector<std::uint8_t> barrier_arrived_;
   std::uint32_t barrier_count_ = 0;
   std::uint64_t barrier_gen_ = 0;

@@ -13,7 +13,6 @@ MemorySystem::MemorySystem(const MemoryConfig& cfg, std::uint32_t num_cores,
       fault_(fault),
       buffers_(static_cast<std::size_t>(num_cores) * kPortCount),
       jitter_rng_(cfg.jitter_seed) {
-  if (cfg_.max_outstanding == 0) cfg_.max_outstanding = 4 * num_cores;
   cache_tags_.assign(cfg_.header_cache_entries, kNullPtr);
 }
 
@@ -40,7 +39,13 @@ void MemorySystem::issue_store(CoreId core, Port port, Addr addr) {
          "core must stall on a full store buffer");
   ++b.stores_waiting;
   ++uncommitted_stores_;
-  if (port == Port::kHeader) ++pending_header_stores_[addr];
+  if (port == Port::kHeader) {
+    if (PendingStore* p = pending_store(addr)) {
+      ++p->count;
+    } else {
+      pending_header_stores_.push_back(PendingStore{addr, 1});
+    }
+  }
   ++requests_;
   queue_.push_back(Request{core, port, MemOp::kStore, addr});
 }
@@ -58,8 +63,7 @@ void MemorySystem::tick(Cycle now) {
   // passes are no-ops, so skip them (idle components cost nothing). Only
   // the sample-on-change telemetry contract must still be honored: the
   // first idle tick after activity (or ever) publishes the 0.
-  if (queue_.empty() && inflight_header_.empty() &&
-      inflight_header_fast_.empty() && inflight_body_.empty()) {
+  if (idle()) {
     if (tel_ != nullptr && tel_prev_inflight_ != 0) {
       tel_prev_inflight_ = 0;
       tel_->counter_sample(tel_inflight_series_, 0);
@@ -68,38 +72,45 @@ void MemorySystem::tick(Cycle now) {
   }
   // 1. Retire transactions whose latency has elapsed. Within each port
   //    class acceptance order is completion order (constant per-class
-  //    latency), so only the fronts can retire — unless latency jitter is
-  //    on, in which case completions interleave and the deque is scanned.
-  // Injected delays stretch individual latencies, so fault runs need the
-  // out-of-order retire scan just like jittered ones.
-  const bool out_of_order = cfg_.latency_jitter != 0 || fault_ != nullptr;
-  const auto retire = [&](std::deque<Inflight>& inflight) {
-    for (auto it = inflight.begin(); it != inflight.end();) {
-      if (it->complete_at > now) {
-        if (!out_of_order) break;
-        ++it;
-        continue;
+  //    latency), so only the fronts can retire — unless latency jitter or
+  //    injected delays stretch individual latencies, in which case
+  //    completions interleave and the whole ring is scanned.
+  const bool out_of_order = !in_order();
+  const auto retire_one = [&](const Inflight& f) {
+    const Request& r = f.req;
+    if (f.ghost) {
+      // The duplicated store arrives a second time, resurrecting the
+      // value it was accepted with. No accounting: the original already
+      // committed and freed its slot.
+      fault_->on_ghost_store_retire(r.addr, f.replay_value);
+      return;
+    }
+    if (r.op == MemOp::kLoad) {
+      buf(r.core, r.port).load_inflight = false;  // data arrived
+      return;
+    }
+    --uncommitted_stores_;  // committed to memory
+    if (r.port == Port::kHeader) {
+      PendingStore* p = pending_store(r.addr);
+      assert(p != nullptr);
+      if (--p->count == 0) {
+        *p = pending_header_stores_.back();  // unordered: swap-remove
+        pending_header_stores_.pop_back();
       }
-      const Request& r = it->req;
-      if (it->ghost) {
-        // The duplicated store arrives a second time, resurrecting the
-        // value it was accepted with. No accounting: the original already
-        // committed and freed its slot.
-        fault_->on_ghost_store_retire(r.addr, it->replay_value);
-        it = inflight.erase(it);
-        continue;
-      }
-      if (r.op == MemOp::kLoad) {
-        buf(r.core, r.port).load_inflight = false;  // data arrived
-      } else {
-        --uncommitted_stores_;  // committed to memory
-        if (r.port == Port::kHeader) {
-          auto ps = pending_header_stores_.find(r.addr);
-          assert(ps != pending_header_stores_.end());
-          if (--ps->second == 0) pending_header_stores_.erase(ps);
-        }
-      }
-      it = inflight.erase(it);
+    }
+  };
+  const auto retire = [&](InflightRing& inflight) {
+    if (out_of_order) {
+      inflight.erase_if([&](const Inflight& f) {
+        if (f.complete_at > now) return false;
+        retire_one(f);
+        return true;
+      });
+      return;
+    }
+    while (!inflight.empty() && inflight.front().complete_at <= now) {
+      retire_one(inflight.front());
+      inflight.pop_front();
     }
   };
   retire(inflight_header_);
@@ -108,16 +119,20 @@ void MemorySystem::tick(Cycle now) {
 
   // 2. Accept up to bandwidth_per_cycle queued requests, oldest first.
   //    Header loads held back by the comparator array let younger,
-  //    independent requests pass (split transactions).
+  //    independent requests pass (split transactions). The queue is
+  //    compacted in place: survivors keep their age order.
   std::uint32_t accepted = 0;
-  for (auto it = queue_.begin();
-       it != queue_.end() && accepted < cfg_.bandwidth_per_cycle;) {
-    const Request r = *it;
-    if (r.op == MemOp::kLoad && r.port == Port::kHeader &&
-        header_store_uncommitted(r.addr)) {
-      ++it;  // comparator array delays this header load
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < queue_.size(); ++i) {
+    const Request r = queue_[i];
+    if (accepted == cfg_.bandwidth_per_cycle ||
+        (r.op == MemOp::kLoad && r.port == Port::kHeader &&
+         header_store_uncommitted(r.addr))) {
+      // Bandwidth spent, or the comparator array delays this header load.
+      queue_[kept++] = r;
       continue;
     }
+    ++accepted;
     if (r.op == MemOp::kStore) {
       --buf(r.core, r.port).stores_waiting;  // slot frees on acceptance
     }
@@ -131,17 +146,14 @@ void MemorySystem::tick(Cycle now) {
       // dropped store never commits (uncommitted_stores_ and the comparator
       // array keep its entry, so the drain condition never holds). Either
       // way only the watchdog can end the cycle.
-      it = queue_.erase(it);
-      ++accepted;
       continue;
     }
-    Cycle extra =
-        out_of_order && cfg_.latency_jitter != 0
-            ? jitter_rng_.below(cfg_.latency_jitter + 1)
-            : 0;
+    Cycle extra = cfg_.latency_jitter != 0
+                      ? jitter_rng_.below(cfg_.latency_jitter + 1)
+                      : 0;
     extra += fa.extra_delay;
     Cycle complete_at;
-    std::deque<Inflight>* inflight;
+    InflightRing* inflight;
     if (r.port == Port::kHeader) {
       if (header_cache_lookup_and_fill(r.addr)) {
         complete_at = now + cfg_.header_cache_hit_latency + extra;
@@ -159,9 +171,8 @@ void MemorySystem::tick(Cycle now) {
       inflight->push_back(Inflight{r, complete_at + 1 + fa.ghost_lag, true,
                                    fa.replay_value});
     }
-    it = queue_.erase(it);
-    ++accepted;
   }
+  queue_.resize(kept);
 
   if (tel_ != nullptr) {
     const std::uint64_t inflight_now = inflight_header_.size() +

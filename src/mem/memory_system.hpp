@@ -25,11 +25,21 @@
 //    schedule-exploration fuzzing: adds a random number of cycles to each
 //    accepted request, so completions can retire out of acceptance order
 //    as they would under real DRAM bank conflicts or refresh.
+//  * Not modeled: the paper's global cap of 4 x N outstanding split
+//    transactions. Requests not yet accepted are bounded by the per-core
+//    buffers (one load and kStoreDepth stores per port); accepted ones by
+//    bandwidth_per_cycle x the longest latency.
+//
+// Host cost: the scheduler's state is a handful of entries per cycle
+// (a fig5 pass averages about 1 queued request, 3 uncommitted header
+// stores and 5 in-flight requests), so every structure is flat — the
+// queue a vector compacted in place, each latency class a power-of-two
+// ring, the comparator array a small (addr, count) CAM.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "mem/ports.hpp"
@@ -120,12 +130,16 @@ class MemorySystem {
 
   /// Earliest complete_at over every in-flight transaction (ghost replays
   /// included — they mutate memory when they retire); kNever when nothing
-  /// is in flight. The first cycle whose tick is not a pure no-op.
+  /// is in flight. The first cycle whose tick is not a pure no-op. With
+  /// in-order retire each class's front is its minimum, so only the three
+  /// fronts are read; jittered or fault runs scan every entry.
   Cycle next_completion() const noexcept {
     Cycle t = kNever;
-    const auto scan = [&t](const std::deque<Inflight>& q) {
-      for (const Inflight& f : q) {
-        if (f.complete_at < t) t = f.complete_at;
+    const auto scan = [&t, this](const InflightRing& q) {
+      const std::size_t n = in_order() ? std::min<std::size_t>(q.size(), 1)
+                                       : q.size();
+      for (std::size_t i = 0; i < n; ++i) {
+        if (q[i].complete_at < t) t = q[i].complete_at;
       }
     };
     scan(inflight_header_);
@@ -164,6 +178,60 @@ class MemorySystem {
     Word replay_value = 0;
   };
 
+  /// Accepted requests of one latency class, oldest first: a growable
+  /// power-of-two ring. Only the front retires while retire is in order;
+  /// otherwise erase_if() removes due entries anywhere, keeping the rest in
+  /// acceptance order.
+  class InflightRing {
+   public:
+    bool empty() const noexcept { return size_ == 0; }
+    std::size_t size() const noexcept { return size_; }
+    const Inflight& operator[](std::size_t i) const noexcept {
+      return slots_[(head_ + i) & mask()];
+    }
+    const Inflight& front() const noexcept { return slots_[head_]; }
+    void pop_front() noexcept {
+      head_ = (head_ + 1) & mask();
+      --size_;
+    }
+    void push_back(const Inflight& f) {
+      if (size_ == slots_.size()) grow();
+      slots_[(head_ + size_) & mask()] = f;
+      ++size_;
+    }
+    /// Removes every entry for which `pred` returns true, in ring order,
+    /// keeping the survivors' relative order.
+    template <class Pred>
+    void erase_if(Pred pred) {
+      std::size_t kept = 0;
+      for (std::size_t i = 0; i < size_; ++i) {
+        const Inflight& f = slots_[(head_ + i) & mask()];
+        if (pred(f)) continue;
+        if (kept != i) slots_[(head_ + kept) & mask()] = f;
+        ++kept;
+      }
+      size_ = kept;
+    }
+
+   private:
+    std::size_t mask() const noexcept { return slots_.size() - 1; }
+    void grow() {
+      std::vector<Inflight> bigger(slots_.empty() ? 8 : 2 * slots_.size());
+      for (std::size_t i = 0; i < size_; ++i) bigger[i] = (*this)[i];
+      slots_.swap(bigger);
+      head_ = 0;
+    }
+    std::vector<Inflight> slots_;
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
+  };
+
+  /// One comparator-array entry: uncommitted header stores to `addr`.
+  struct PendingStore {
+    Addr addr = 0;
+    std::uint32_t count = 0;
+  };
+
   PortBuffer& buf(CoreId core, Port port) noexcept {
     return buffers_[core * kPortCount + static_cast<std::size_t>(port)];
   }
@@ -171,9 +239,25 @@ class MemorySystem {
     return buffers_[core * kPortCount + static_cast<std::size_t>(port)];
   }
 
+  /// Constant per-class latencies: each class completes in acceptance
+  /// order. Latency jitter and injected delays break that.
+  bool in_order() const noexcept {
+    return cfg_.latency_jitter == 0 && fault_ == nullptr;
+  }
+
   /// Comparator array: is a header store to `addr` queued or in flight?
   bool header_store_uncommitted(Addr addr) const noexcept {
-    return pending_header_stores_.contains(addr);
+    for (const PendingStore& p : pending_header_stores_) {
+      if (p.addr == addr) return true;
+    }
+    return false;
+  }
+  /// The comparator-array entry for `addr`, or null when it has none.
+  PendingStore* pending_store(Addr addr) noexcept {
+    for (PendingStore& p : pending_header_stores_) {
+      if (p.addr == addr) return &p;
+    }
+    return nullptr;
   }
 
   MemoryConfig cfg_;
@@ -182,17 +266,15 @@ class MemorySystem {
   std::uint32_t tel_inflight_series_ = 0;
   std::uint64_t tel_prev_inflight_ = ~std::uint64_t{0};
   std::vector<PortBuffer> buffers_;  // num_cores x kPortCount
-  std::deque<Request> queue_;        // issued, not yet accepted
-  // Accepted requests of one latency class complete in acceptance order
-  // (constant per-class latency), so one deque per class suffices: the
-  // front always retires first. Header-cache hits form their own, faster
+  std::vector<Request> queue_;       // issued, not yet accepted; oldest first
+  // One ring per latency class; header-cache hits form their own, faster
   // class. With latency_jitter enabled, completions within a class can
-  // retire out of acceptance order and the whole deque is scanned instead
+  // retire out of acceptance order and the whole ring is scanned instead
   // (fuzzing only — never the measured configuration).
   Rng jitter_rng_{0};
-  std::deque<Inflight> inflight_header_;
-  std::deque<Inflight> inflight_header_fast_;
-  std::deque<Inflight> inflight_body_;
+  InflightRing inflight_header_;
+  InflightRing inflight_header_fast_;
+  InflightRing inflight_body_;
 
   /// Header cache (Section VII future work 2): direct-mapped tag array.
   /// Contents are architectural memory (functional state is elsewhere), so
@@ -201,8 +283,9 @@ class MemorySystem {
   std::vector<Addr> cache_tags_;
   std::uint64_t cache_hits_ = 0;
   std::uint64_t cache_misses_ = 0;
-  // Comparator array: uncommitted header-store count per address.
-  std::unordered_map<Addr, std::uint32_t> pending_header_stores_;
+  // Comparator array: one entry per address with uncommitted header
+  // stores, unordered (entries are only ever looked up by address).
+  std::vector<PendingStore> pending_header_stores_;
   std::uint64_t uncommitted_stores_ = 0;
   std::uint64_t requests_ = 0;
 };

@@ -58,11 +58,6 @@ struct MemoryConfig {
   /// Models the DDR interface running at 4x the 25 MHz core clock.
   std::uint32_t bandwidth_per_cycle = 4;
 
-  /// Maximum outstanding split transactions accepted from the cores.
-  /// The paper allows 4 x N pending requests; the scheduler additionally
-  /// respects this global cap (0 = derive 4 x num_cores automatically).
-  std::uint32_t max_outstanding = 0;
-
   /// Header cache (Section VII, future work 2): an on-chip direct-mapped
   /// tag store for header transactions. Hot headers (javac's symbol hubs,
   /// re-checked fromspace headers) then complete in

@@ -78,8 +78,8 @@ struct CoreCounters {
   }
   /// Saturating sum: a counter driven near the Cycle ceiling (hardware
   /// counters latch at all-ones) must not wrap the total back to a small
-  /// number — a wrapped total would fool the watchdog's activity monitor
-  /// into seeing "progress".
+  /// number — a wrapped total would report a saturated core as nearly
+  /// stall-free.
   Cycle total_stalls() const noexcept {
     Cycle sum = 0;
     for (auto s : stalls) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -21,7 +22,7 @@ Word plan_word(std::uint64_t node, std::uint64_t j) {
   std::uint64_t z = node * 0x9e3779b97f4a7c15ull + (j + 1);
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
+  return static_cast<Word>(z ^ (z >> 31));  // the low word is the pattern
 }
 
 }  // namespace
@@ -37,7 +38,13 @@ Trace trace_from_plan(const GraphPlan& plan, TraceHeader header) {
     total += words;
     if (!n.garbage) live += words;
   }
-  header.semispace_words = std::max(total + total / 2, 2 * live) + 64;
+  const std::uint64_t semispace = std::max(total + total / 2, 2 * live) + 64;
+  if (semispace > std::numeric_limits<Word>::max()) {
+    throw TraceError("hwgc-trace-v1: plan needs a " +
+                     std::to_string(semispace) +
+                     "-word semispace, beyond the Word range");
+  }
+  header.semispace_words = static_cast<Word>(semispace);
 
   Runtime rt(header.semispace_words, header.sim_config());
   TraceRecorder recorder(header);

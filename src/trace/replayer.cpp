@@ -1,7 +1,9 @@
 #include "trace/replayer.hpp"
 
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "heap/verifier.hpp"
 #include "trace/recorder.hpp"
@@ -9,6 +11,18 @@
 namespace hwgc {
 
 namespace {
+
+/// Narrows a trace operand to a Word. The loaders reject out-of-range
+/// operands (check_trace), but a cursor may be handed a trace built in
+/// memory: fail naming the operation rather than truncate.
+Word word_operand(const TraceOp& op, std::uint64_t v) {
+  if (v > std::numeric_limits<Word>::max()) {
+    throw TraceError(std::string("hwgc-trace-v1: ") + to_string(op.kind) +
+                     " operand " + std::to_string(v) +
+                     " out of the Word range");
+  }
+  return static_cast<Word>(v);
+}
 
 constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
 constexpr std::uint64_t kFnvPrime = 1099511628211ull;
@@ -129,20 +143,23 @@ std::size_t TraceCursor::apply(Runtime& rt, std::size_t max_ops) {
 void TraceCursor::apply_one(Runtime& rt, const TraceOp& op) {
   switch (op.kind) {
     case TraceOp::Kind::kAlloc: {
-      const Runtime::Ref ref = rt.alloc(op.b, op.c);
+      const Runtime::Ref ref =
+          rt.alloc(word_operand(op, op.b), word_operand(op, op.c));
       refs_.emplace_back();
       children_.emplace_back(op.b, kNoTraceId);
       refs_[op.a].push_back(ref);
       break;
     }
     case TraceOp::Kind::kData:
-      rt.set_data(refs_[op.a].back(), op.b, op.c);
+      rt.set_data(refs_[op.a].back(), word_operand(op, op.b),
+                  word_operand(op, op.c));
       break;
     case TraceOp::Kind::kLink:
       if (op.c == kNoTraceId) {
-        rt.set_ptr_null(refs_[op.a].back(), op.b);
+        rt.set_ptr_null(refs_[op.a].back(), word_operand(op, op.b));
       } else {
-        rt.set_ptr(refs_[op.a].back(), op.b, refs_[op.c].back());
+        rt.set_ptr(refs_[op.a].back(), word_operand(op, op.b),
+                   refs_[op.c].back());
       }
       children_[op.a][op.b] = op.c;
       break;
@@ -150,7 +167,8 @@ void TraceCursor::apply_one(Runtime& rt, const TraceOp& op) {
       refs_[op.a].push_back(rt.dup(refs_[op.a].back()));
       break;
     case TraceOp::Kind::kLoad: {
-      const Runtime::Ref child = rt.load_ptr(refs_[op.a].back(), op.b);
+      const Runtime::Ref child =
+          rt.load_ptr(refs_[op.a].back(), word_operand(op, op.b));
       if (child.is_null()) {
         // The link-stream mirror proved this field non-null at load time;
         // a null here means the collector under replay lost the pointer.

@@ -212,6 +212,10 @@ std::vector<std::string> check_trace(const Trace& trace) {
           note(seq, "data index " + std::to_string(op.b) +
                         " out of range for object id " + std::to_string(op.a));
         }
+        if (op.c > std::numeric_limits<Word>::max()) {
+          note(seq, "data value " + std::to_string(op.c) +
+                        " out of the Word range");
+        }
         break;
       case TraceOp::Kind::kLink:
         if (live_ok(seq, op.a)) {

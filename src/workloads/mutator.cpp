@@ -57,7 +57,7 @@ void ShadowMutator::step(Runtime& rt) {
   // A max-shape object that cannot fit an *empty* semispace would survive
   // any number of collections and still throw from alloc() — reject the
   // configuration the first time the target heap is known instead.
-  const Word worst = object_words(cfg_.max_pi, cfg_.max_delta);
+  const Word worst = cfg_.max_object_words();
   if (worst > rt.heap().capacity_words()) {
     throw std::invalid_argument(
         "ShadowMutator: a max-shape object needs " + std::to_string(worst) +

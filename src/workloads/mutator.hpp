@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "heap/object_model.hpp"
 #include "runtime/runtime.hpp"
 #include "sim/rng.hpp"
 
@@ -30,6 +31,12 @@ class ShadowMutator {
     /// beyond it, allocation steps are balanced by root releases (creating
     /// garbage for the next cycle).
     std::size_t target_live = 256;
+
+    /// Words of the largest object this churn allocates: a semispace
+    /// smaller than that can never fit it.
+    Word max_object_words() const noexcept {
+      return object_words(max_pi, max_delta);
+    }
   };
 
   ShadowMutator() : ShadowMutator(Config{}) {}

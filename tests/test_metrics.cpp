@@ -127,8 +127,8 @@ TEST(Metrics, WorklistEmptyFractionClampsInconsistentCounters) {
 
 TEST(Metrics, TotalStallsSaturatesInsteadOfWrapping) {
   // Hardware counters latch at all-ones; the software sum must do the
-  // same — a wrapped total would fake "progress" to the watchdog's
-  // activity monitor.
+  // same — a wrapped total would report a saturated core as nearly
+  // stall-free.
   CoreCounters c;
   c.stalls[static_cast<std::size_t>(StallReason::kScanLock)] = ~Cycle{0} - 10;
   c.stalls[static_cast<std::size_t>(StallReason::kBodyLoad)] = 100;

@@ -1,10 +1,13 @@
 // Unit tests for the Synchronization Block (paper Section V-C): the
 // scan/free locks with their one-acquisition-per-cycle budget and
-// same-cycle hand-off, the header-lock CAM, the ScanState busy bits, the
-// barrier and the lock-order auditor.
+// same-cycle hand-off, the header-lock CAM, the ScanState busy bits (and
+// the busy count behind all_idle()), the barrier and the lock-order
+// auditor.
 #include <gtest/gtest.h>
 
 #include "core/sync_block.hpp"
+#include "fault/fault_injector.hpp"
+#include "fault/fault_plan.hpp"
 
 namespace hwgc {
 namespace {
@@ -87,6 +90,51 @@ TEST(SyncBlock, BusyBitsAndTermination) {
   EXPECT_TRUE(sb.busy(1));
   sb.set_busy(1, false);
   EXPECT_TRUE(sb.all_idle());
+}
+
+TEST(SyncBlock, AllIdleTracksRepeatedBusyWrites) {
+  SyncBlock sb(4);
+  // Redundant writes must not skew the busy count.
+  sb.set_busy(2, true);
+  sb.set_busy(2, true);
+  sb.set_busy(0, false);
+  EXPECT_FALSE(sb.all_idle());
+  sb.set_busy(2, false);
+  EXPECT_TRUE(sb.all_idle());
+  sb.set_busy(2, false);
+  EXPECT_TRUE(sb.all_idle());
+  for (int round = 0; round < 3; ++round) {
+    for (CoreId c = 0; c < 4; ++c) sb.set_busy(c, true);
+    for (CoreId c = 0; c < 4; ++c) {
+      EXPECT_FALSE(sb.all_idle()) << "round " << round << " core " << c;
+      sb.set_busy(c, false);
+    }
+    EXPECT_TRUE(sb.all_idle()) << "round " << round;
+  }
+}
+
+TEST(SyncBlock, AllIdleReadsAnInjectedStuckBusyBit) {
+  FaultPlan plan;
+  FaultEvent e;
+  e.kind = FaultKind::kStuckBusy;
+  e.target_core = 1;
+  e.trigger = 5;
+  plan.events.push_back(e);
+  FaultInjector inj(std::move(plan));
+  inj.begin_attempt(0, {0, 1, 2});
+  SyncBlock sb(3, &inj);
+  inj.begin_clock(4);
+  sb.set_busy(0, true);
+  EXPECT_FALSE(sb.all_idle());
+  sb.set_busy(0, false);
+  EXPECT_TRUE(sb.all_idle());
+  inj.begin_clock(5);
+  // Every architectural bit is clear, but core 1's reads stuck-at-1.
+  EXPECT_FALSE(sb.busy_raw(1));
+  EXPECT_FALSE(sb.all_idle());
+  sb.set_busy(1, true);
+  sb.set_busy(1, false);
+  EXPECT_FALSE(sb.all_idle()) << "a clear write cannot unstick the bit";
 }
 
 TEST(SyncBlock, BarrierReleasesWhenAllArrive) {

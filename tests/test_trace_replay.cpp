@@ -348,6 +348,39 @@ TEST(TraceLoader, BinarySemispaceWordsBeyondWordRangeFails) {
   }
 }
 
+TEST(TraceLoader, DataValueBeyondWordRangeFails) {
+  Trace t = tiny_trace();
+  bool patched = false;
+  for (TraceOp& op : t.ops) {
+    if (op.kind == TraceOp::Kind::kData) {
+      op.c = std::uint64_t{1} << 32;  // would truncate to 0
+      patched = true;
+      break;
+    }
+  }
+  ASSERT_TRUE(patched);
+  expect_load_failure(trace_to_jsonl(t), "data value 4294967296");
+}
+
+TEST(TraceCursor, OperandBeyondWordRangeFailsInsteadOfTruncating) {
+  // A trace built in memory never passes the loaders' check_trace, so the
+  // cursor itself must refuse an operand a Word cannot hold.
+  Trace t;
+  t.header.semispace_words = 64;
+  t.ops.push_back(TraceOp{TraceOp::Kind::kAlloc, 0, 0, 2});
+  t.ops.push_back(TraceOp{TraceOp::Kind::kData, 0, 1, std::uint64_t{1} << 32});
+  Runtime rt(t.header.semispace_words, t.header.sim_config());
+  TraceCursor cursor(&t, /*wrap=*/false);
+  try {
+    cursor.apply(rt, t.ops.size());
+    FAIL() << "expected TraceError";
+  } catch (const TraceError& e) {
+    EXPECT_NE(std::string(e.what()).find("data operand 4294967296"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(TraceLoader, VersionSkewFails) {
   std::string text = trace_to_jsonl(tiny_trace());
   const auto pos = text.find("\"version\":1");
