@@ -1,23 +1,17 @@
-// Benchmarks for the multi-tenant heap service — two modes in one binary.
+// bench_service — the perf-baseline harness of the multi-tenant heap
+// service (flags: bench_service --help).
 //
-// Default (no --json): google-benchmark microbenches of the dispatch path,
-// as before. These keep the SERVICE layer honest the same way
-// bench_simulator_microbench keeps the cycle loop honest.
-//
-// With --json[=path] (flags: bench_service --help): the CI
-// perf-baseline harness. Runs an 8-shard closed-loop sweep twice on a
-// memory-latency-bound configuration — the reference engine (one host
-// thread, fast-forward off) and the tuned engine (fast-forward on) — and
-// reports host-side throughput: simulated-cycles/second and
-// requests/second. Both runs must produce identical simulated results
-// (the fast-forward and parallel-conductor equivalence the test suite
-// enforces); the harness exits nonzero if they diverge, and, with
-// --min-speedup, if the tuned engine's simulated-cycles/sec gain falls
-// short. Records land as hwgc-bench-v1 JSONL (schema fields from
-// MetricsRegistry plus appended host_* / *_per_sec throughput fields —
-// the schema is append-only, so bench_validate accepts them).
-#include <benchmark/benchmark.h>
-
+// Runs an 8-shard closed-loop sweep twice on a memory-latency-bound
+// configuration — the reference engine (one host thread, fast-forward off)
+// and the tuned engine (fast-forward on) — and reports host-side
+// throughput: simulated-cycles/second and requests/second. Both runs must
+// produce identical simulated results (the fast-forward and
+// parallel-conductor equivalence the test suite enforces); the harness
+// exits nonzero if they diverge, and, with --min-speedup, if the tuned
+// engine's simulated-cycles/sec gain falls short. With --json[=path] the
+// records land as hwgc-bench-v1 JSONL (schema fields from MetricsRegistry
+// plus appended host_* / *_per_sec throughput fields — the schema is
+// append-only, so bench_validate accepts them).
 #include <chrono>
 #include <cstdio>
 #include <map>
@@ -32,116 +26,11 @@ namespace {
 
 using namespace hwgc;
 
-ServiceConfig service_config(std::size_t shards, GcSchedulerKind sched) {
-  ServiceConfig cfg;
-  cfg.shards = shards;
-  cfg.semispace_words = 4096;
-  cfg.sim.coprocessor.num_cores = 4;
-  cfg.oracle = false;  // measure the dispatch path, not snapshotting
-  cfg.scheduler = sched;
-  return cfg;
-}
-
-void report(benchmark::State& state, const HeapService& service,
-            std::uint64_t requests) {
-  const SloStats fleet = service.fleet_stats();
-  state.counters["req/s"] = benchmark::Counter(
-      static_cast<double>(requests) * static_cast<double>(state.iterations()),
-      benchmark::Counter::kIsRate);
-  state.counters["sim_p99_clk"] =
-      static_cast<double>(fleet.latency.percentile(0.99));
-  state.counters["collections"] = static_cast<double>(fleet.collections);
-}
-
-/// Full dispatch path, reactive policy, scaling in shard count.
-void BM_ServeReactive(benchmark::State& state) {
-  const auto shards = static_cast<std::size_t>(state.range(0));
-  constexpr std::uint64_t kRequests = 2000;
-  std::uint64_t total = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    HeapService service(service_config(shards, GcSchedulerKind::kReactive));
-    state.ResumeTiming();
-    service.serve(kRequests);
-    total += kRequests;
-    benchmark::DoNotOptimize(service.fleet_stats().completed);
-    state.PauseTiming();
-    report(state, service, kRequests);
-    state.ResumeTiming();
-  }
-  (void)total;
-}
-BENCHMARK(BM_ServeReactive)->Arg(1)->Arg(4)->Arg(8);
-
-/// Scheduler-policy comparison at a fixed fleet size.
-void BM_ServeScheduler(benchmark::State& state) {
-  const auto kind = static_cast<GcSchedulerKind>(state.range(0));
-  constexpr std::uint64_t kRequests = 2000;
-  for (auto _ : state) {
-    state.PauseTiming();
-    HeapService service(service_config(4, kind));
-    state.ResumeTiming();
-    service.serve(kRequests);
-    benchmark::DoNotOptimize(service.fleet_stats().completed);
-    state.PauseTiming();
-    report(state, service, kRequests);
-    state.ResumeTiming();
-  }
-}
-BENCHMARK(BM_ServeScheduler)
-    ->Arg(static_cast<int>(GcSchedulerKind::kReactive))
-    ->Arg(static_cast<int>(GcSchedulerKind::kProactive))
-    ->Arg(static_cast<int>(GcSchedulerKind::kRoundRobin));
-
-/// The oracle's cost: same run with per-cycle snapshot + post-structure
-/// verification switched on.
-void BM_ServeWithOracle(benchmark::State& state) {
-  constexpr std::uint64_t kRequests = 1000;
-  for (auto _ : state) {
-    state.PauseTiming();
-    ServiceConfig cfg = service_config(4, GcSchedulerKind::kProactive);
-    cfg.oracle = true;
-    HeapService service(cfg);
-    state.ResumeTiming();
-    service.serve(kRequests);
-    benchmark::DoNotOptimize(service.fleet_stats().oracle_failures);
-  }
-}
-BENCHMARK(BM_ServeWithOracle);
-
-/// The resilience layer's cost on the dispatch path: supervision joins the
-/// home lane and runs the health state machine on every request; arg 1
-/// adds a quarter-fleet fault storm with failover routing on top. Compare
-/// against BM_ServeReactive/4 for the supervision-off baseline.
-void BM_ServeResilient(benchmark::State& state) {
-  const bool stormed = state.range(0) != 0;
-  constexpr std::uint64_t kRequests = 2000;
-  for (auto _ : state) {
-    state.PauseTiming();
-    ServiceConfig cfg = service_config(4, GcSchedulerKind::kReactive);
-    cfg.resilience.supervise = true;
-    cfg.resilience.deadline_cycles = 1u << 16;
-    if (stormed) {
-      cfg.storm.shard_fraction = 0.25;
-      cfg.storm.events_per_collection = 2;
-    }
-    HeapService service(cfg);
-    state.ResumeTiming();
-    service.serve(kRequests);
-    benchmark::DoNotOptimize(service.fleet_stats().completed);
-    state.PauseTiming();
-    report(state, service, kRequests);
-    state.ResumeTiming();
-  }
-}
-BENCHMARK(BM_ServeResilient)->Arg(0)->Arg(1);
-
-// --- CI perf-baseline harness (--json mode) --------------------------------
-
 struct SweepOptions {
   std::size_t shards = 8;
   std::uint64_t requests = 6000;
   double min_speedup = 0.0;  ///< 0 = report only, no gate
+  bool write_json = false;
   std::string json_path = "BENCH_service.json";
 };
 
@@ -317,12 +206,14 @@ int run_perf_baseline(const SweepOptions& opt) {
       ",\"speedup_vs_ticked\":" + fmt(speedup);
   const std::string jsonl = append_fields(reg.to_jsonl("service"), extras);
 
-  if (!write_jsonl_file(opt.json_path, jsonl)) {
-    std::fprintf(stderr, "error: cannot write %s\n", opt.json_path.c_str());
-    return 1;
+  if (opt.write_json) {
+    if (!write_jsonl_file(opt.json_path, jsonl)) {
+      std::fprintf(stderr, "error: cannot write %s\n", opt.json_path.c_str());
+      return 1;
+    }
+    std::printf("wrote %zu metric record(s) to %s\n", reg.size(),
+                opt.json_path.c_str());
   }
-  std::printf("wrote %zu metric record(s) to %s\n", reg.size(),
-              opt.json_path.c_str());
 
   if (opt.min_speedup > 0.0 && speedup < opt.min_speedup) {
     std::fprintf(stderr,
@@ -337,34 +228,16 @@ int run_perf_baseline(const SweepOptions& opt) {
 
 int main(int argc, char** argv) {
   SweepOptions opt;
-  bool json_mode = false;
-  // --benchmark_* flags belong to google-benchmark; the rest to the table.
-  std::vector<char*> passthrough = {argv[0]};
-  std::vector<char*> ours = {argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    const bool gbench = std::string(argv[i]).rfind("--benchmark_", 0) == 0;
-    (gbench ? passthrough : ours).push_back(argv[i]);
-  }
   Flags t("bench_service",
-          "google-benchmark microbenches of the dispatch path; with --json\n"
-          "the 8-shard perf-baseline harness instead. --benchmark_* flags\n"
-          "go to google-benchmark.");
-  t.opt_value("--json", json_mode, opt.json_path,
-              "run the perf-baseline harness, writing hwgc-bench-v1 JSONL\n"
+          "the 8-shard perf-baseline harness: ticked vs fast-forward engine,\n"
+          "bit-identical simulated results required");
+  t.opt_value("--json", opt.write_json, opt.json_path,
+              "write the records as hwgc-bench-v1 JSONL\n"
               "(default path BENCH_service.json)");
   t.value("--shards", opt.shards, "fleet size of the sweep");
   t.value("--requests", opt.requests, "requests per engine run");
   t.value("--min-speedup", opt.min_speedup,
           "fail when the fast-forward gain falls short (0 = report only)");
-  t.parse(static_cast<int>(ours.size()), ours.data());
-  if (json_mode) return run_perf_baseline(opt);
-
-  int bench_argc = static_cast<int>(passthrough.size());
-  benchmark::Initialize(&bench_argc, passthrough.data());
-  if (benchmark::ReportUnrecognizedArguments(bench_argc, passthrough.data())) {
-    return 1;
-  }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  t.parse(argc, argv);
+  return run_perf_baseline(opt);
 }

@@ -1,10 +1,10 @@
 // fault_lab — hardware fault-injection sweep driver.
 //
 // Sweeps the fault matrix (fault class × event rate × core count × seeds)
-// through the differential oracle: every run injects a seeded fault plan,
-// collects through the detection-and-recovery machinery and cross-checks
-// the result against the sequential Cheney reference. Per run the outcome
-// is classified as
+// through the conformance oracle as fuzz cases: every run injects a seeded
+// fault plan, collects through the detection-and-recovery machinery and
+// cross-checks the result against the sequential Cheney reference. Per
+// run the outcome is classified as
 //   masked        collection succeeded on the first attempt,
 //   retried       recovered by abort-and-retry on the same cores,
 //   deconfigured  recovered after dropping at least one suspect core,
@@ -19,11 +19,13 @@
 #include <cstdint>
 #include <iomanip>
 #include <iostream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "fault/fault_plan.hpp"
-#include "fuzz/oracle.hpp"
+#include "fault/recovery.hpp"
+#include "fuzz/fuzz_case.hpp"
 #include "sim/flags.hpp"
 #include "telemetry/trace_export.hpp"
 
@@ -74,23 +76,46 @@ void parse_args(int argc, char** argv, Options& opt) {
   }
 }
 
+/// Run outcomes in summary-table order, with their names and columns.
+enum Outcome : std::size_t {
+  kMasked, kRetried, kDeconfigured, kFallback, kFailed
+};
+constexpr const char* kOutcomes[] = {"masked", "retried", "deconfigured",
+                                     "fallback", "FAILED"};
+constexpr int kOutcomeWidths[] = {8, 8, 7, 7, 7};
+
 struct Tally {
   std::uint64_t runs = 0;
-  std::uint64_t masked = 0;
-  std::uint64_t retried = 0;
-  std::uint64_t deconfigured = 0;
-  std::uint64_t fallback = 0;
-  std::uint64_t failed = 0;
+  std::uint64_t outcomes[std::size(kOutcomes)] = {};
   std::uint64_t injected = 0;
   std::uint64_t fired = 0;
+
+  Tally& operator+=(const Tally& o) {
+    runs += o.runs;
+    for (std::size_t i = 0; i < std::size(kOutcomes); ++i) {
+      outcomes[i] += o.outcomes[i];
+    }
+    injected += o.injected;
+    fired += o.fired;
+    return *this;
+  }
 };
 
-const char* classify(const hwgc::FuzzVerdict& v) {
-  if (!v.ok) return "FAILED";
-  if (v.recovery.used_sequential_fallback) return "fallback";
-  if (!v.recovery.deconfigured.empty()) return "deconfigured";
-  if (v.recovery.attempts.size() > 1) return "retried";
-  return "masked";
+void print_row(const std::string& label, const Tally& t) {
+  std::cout << std::left << std::setw(16) << label << std::right
+            << std::setw(6) << t.runs;
+  for (std::size_t i = 0; i < std::size(kOutcomes); ++i) {
+    std::cout << std::setw(kOutcomeWidths[i]) << t.outcomes[i];
+  }
+  std::cout << std::setw(10) << t.injected << std::setw(6) << t.fired << "\n";
+}
+
+Outcome classify(bool ok, const hwgc::RecoveryReport& r) {
+  if (!ok) return kFailed;
+  if (r.used_sequential_fallback) return kFallback;
+  if (!r.deconfigured.empty()) return kDeconfigured;
+  if (r.attempts.size() > 1) return kRetried;
+  return kMasked;
 }
 
 }  // namespace
@@ -130,49 +155,44 @@ int main(int argc, char** argv) {
           // A floor of half the cap keeps the collection long enough that
           // trigger points drawn from [0, fault_scale) actually land in it.
           fc.graph.min_nodes = std::max(opt.max_nodes / 2, 1u);
-          fc.num_cores = cores;
+          fc.cores = cores;
           fc.schedule = kSchedules[s % 4];
           fc.schedule_seed = opt.base_seed + s;
           fc.fault.seed = opt.base_seed + s;
           fc.fault.events = events;
           fc.fault.trigger_scale = opt.fault_scale;
           fc.fault.class_mask = 1u << static_cast<std::uint32_t>(kind);
-          const hwgc::FuzzVerdict v = hwgc::run_fuzz_case(fc);
+          const hwgc::ConformanceVerdict v = hwgc::run_fuzz_case(fc);
+          const hwgc::RecoveryReport recovery =
+              v.report.recovery.value_or(hwgc::RecoveryReport{});
 
           ++t.runs;
-          t.injected += v.recovery.faults_injected;
-          t.fired += v.recovery.faults_fired;
-          const std::string outcome = classify(v);
-          const int rank = outcome != "masked"          ? 2
-                           : v.recovery.faults_fired > 0 ? 1
-                                                         : 0;
+          t.injected += recovery.faults_injected;
+          t.fired += recovery.faults_fired;
+          const Outcome kind_of_run = classify(v.ok, recovery);
+          const std::string outcome = kOutcomes[kind_of_run];
+          ++t.outcomes[kind_of_run];
+          const int rank = kind_of_run != kMasked      ? 2
+                           : recovery.faults_fired > 0 ? 1
+                                                       : 0;
           if (rank > interesting_rank) {
             interesting = fc;
             interesting_outcome = outcome;
             interesting_rank = rank;
           }
-          if (outcome == "FAILED") {
-            ++t.failed;
+          if (kind_of_run == kFailed) {
             any_failed = true;
             std::cout << "FAILED: " << to_string(kind) << " cores=" << cores
                       << " events=" << events << " seed=" << fc.fault.seed
                       << "\n"
                       << v.summary() << "\nrepro: fuzz_gc " << fc.summary()
                       << "\n";
-          } else if (outcome == "fallback") {
-            ++t.fallback;
-          } else if (outcome == "deconfigured") {
-            ++t.deconfigured;
-          } else if (outcome == "retried") {
-            ++t.retried;
-          } else {
-            ++t.masked;
           }
           if (opt.verbose) {
             std::cout << to_string(kind) << " cores=" << cores
                       << " events=" << events << " seed=" << fc.fault.seed
-                      << ": " << outcome << " (" << v.recovery.attempts.size()
-                      << " attempt(s), " << v.recovery.faults_fired
+                      << ": " << outcome << " (" << recovery.attempts.size()
+                      << " attempt(s), " << recovery.faults_fired
                       << " fired)\n";
           }
         }
@@ -183,42 +203,29 @@ int main(int argc, char** argv) {
   std::cout << "\nfault class      runs  masked retried deconf fallbk FAILED"
                "  injected fired\n";
   for (std::size_t k = 0; k < hwgc::kFaultKindCount; ++k) {
-    const Tally& t = per_class[k];
-    if (t.runs == 0) continue;
-    std::cout << std::left << std::setw(16)
-              << to_string(static_cast<hwgc::FaultKind>(k)) << std::right
-              << std::setw(6) << t.runs << std::setw(8) << t.masked
-              << std::setw(8) << t.retried << std::setw(7) << t.deconfigured
-              << std::setw(7) << t.fallback << std::setw(7) << t.failed
-              << std::setw(10) << t.injected << std::setw(6) << t.fired
-              << "\n";
-    total.runs += t.runs;
-    total.masked += t.masked;
-    total.retried += t.retried;
-    total.deconfigured += t.deconfigured;
-    total.fallback += t.fallback;
-    total.failed += t.failed;
-    total.injected += t.injected;
-    total.fired += t.fired;
+    if (per_class[k].runs == 0) continue;
+    print_row(to_string(static_cast<hwgc::FaultKind>(k)), per_class[k]);
+    total += per_class[k];
   }
-  std::cout << std::left << std::setw(16) << "TOTAL" << std::right
-            << std::setw(6) << total.runs << std::setw(8) << total.masked
-            << std::setw(8) << total.retried << std::setw(7)
-            << total.deconfigured << std::setw(7) << total.fallback
-            << std::setw(7) << total.failed << std::setw(10) << total.injected
-            << std::setw(6) << total.fired << "\n";
+  print_row("TOTAL", total);
 
   if (!opt.trace_json.empty() && interesting_rank >= 0) {
+    // Runs are deterministic: collecting the case's plan again, with the
+    // bus attached, replays the recovery the oracle judged.
+    const hwgc::ConformanceCase c = interesting.conformance_case();
+    hwgc::Workload w = hwgc::materialize(c.plan);
     hwgc::TelemetryBus bus;
-    const hwgc::FuzzVerdict v = hwgc::run_fuzz_case(interesting, &bus);
+    const hwgc::RecoveryReport r =
+        hwgc::RecoveringCollector(c.harness.coprocessor_config(), *w.heap)
+            .collect(nullptr, &bus);
     if (!hwgc::write_chrome_trace(bus, opt.trace_json)) {
       std::cerr << "error: failed to write " << opt.trace_json << "\n";
       return 1;
     }
     std::cout << "\nre-ran '" << interesting_outcome << "' case ("
               << interesting.summary() << ") with telemetry: "
-              << v.recovery.attempts.size() << " attempt(s), "
-              << v.recovery.faults_fired << " fault(s) fired\n"
+              << r.attempts.size() << " attempt(s), " << r.faults_fired
+              << " fault(s) fired\n"
               << "wrote recovery timeline (" << bus.spans().size()
               << " spans, " << bus.instants().size() << " instants) to "
               << opt.trace_json << "\n";

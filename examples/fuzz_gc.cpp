@@ -1,9 +1,10 @@
 // fuzz_gc — schedule-exploration fuzzing driver.
 //
-// Runs fuzzed (graph × schedule × core-count) configurations through the
-// differential oracle (src/fuzz/oracle.hpp): every case is collected by
-// the coprocessor simulator under a pluggable step-order policy and by the
-// sequential Cheney reference, and the two results are cross-checked.
+// Generates fuzzed (graph × schedule × core-count) cases (src/fuzz/) and
+// runs each through the conformance oracle as a coprocessor case: the
+// coprocessor simulator collects under a pluggable step-order policy, and
+// the result is checked and cross-compared against the sequential Cheney
+// reference.
 //
 // Modes:
 //   fuzz_gc --seed 7 --count 100        # 100 cases derived from seeds 7..106
@@ -12,14 +13,18 @@
 //                                       # replay an explicit (minimized) case
 //
 // Every run is deterministic: the same flags reproduce the same collection
-// bit-for-bit. On failure the driver minimizes the reproducer (greedy
-// shrinking while the oracle still fails), prints the failing schedule
-// tail and exits nonzero.
+// bit-for-bit. On failure the driver re-runs the case with a schedule
+// trace attached to print its schedule tail, minimizes the reproducer
+// (greedy shrinking while the oracle still fails) and exits nonzero.
 #include <cstdint>
+#include <exception>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
-#include "fuzz/oracle.hpp"
+#include "core/coprocessor.hpp"
+#include "core/schedule_policy.hpp"
+#include "fuzz/fuzz_case.hpp"
 #include "sim/flags.hpp"
 #include "trace/corpus.hpp"
 
@@ -54,6 +59,29 @@ void parse_args(int argc, char** argv, Options& opt) {
   t.parse(argc, argv);
   opt.explicit_case = t.any_seen(case_flags);
   if (opt.count == 0 && !opt.explicit_case) t.fail("--count must be >= 1");
+  try {
+    opt.fc.check();
+  } catch (const std::invalid_argument& e) {
+    t.fail(std::string("--") + e.what());
+  }
+}
+
+/// Prints a failing verdict and the tail of the case's per-cycle step
+/// orders. Runs are deterministic, so re-running the case with a schedule
+/// trace attached replays the collection the oracle judged. A fault case
+/// runs through recovery, whose attempts have no single schedule to show.
+void print_failure(const hwgc::FuzzCase& fc,
+                   const hwgc::ConformanceVerdict& v) {
+  std::cout << v.summary() << "\n";
+  if (fc.fault.enabled()) return;
+  hwgc::Workload w = hwgc::materialize(fc.conformance_case().plan);
+  hwgc::ScheduleTrace sched(64);
+  try {
+    hwgc::Coprocessor(fc.sim_config(), *w.heap).collect(nullptr, &sched);
+  } catch (const std::exception&) {
+    // The oracle already reported the throw; the tail leads up to it.
+  }
+  std::cout << "schedule tail:\n" << sched.dump() << "\n";
 }
 
 /// Runs one case; on failure prints the verdict, minimizes and prints the
@@ -61,29 +89,30 @@ void parse_args(int argc, char** argv, Options& opt) {
 /// non-null) receives the minimized reproducer on failure.
 bool run_one(const hwgc::FuzzCase& fc, const std::string& label,
              const Options& opt, hwgc::FuzzCase* repro = nullptr) {
-  const hwgc::FuzzVerdict v = hwgc::run_fuzz_case(fc);
+  const hwgc::ConformanceVerdict v = hwgc::run_fuzz_case(fc);
   if (v.ok) {
     if (opt.verbose) {
+      const hwgc::GcCycleStats& s = *v.report.coproc;
       std::cout << label << " ok: live=" << v.live_objects
-                << " cycles=" << v.coproc.total_cycles
-                << " words=" << v.coproc.words_copied
-                << " mem=" << v.coproc.mem_requests
-                << " fifo_miss=" << v.coproc.fifo_misses << "  [" << fc.summary()
+                << " cycles=" << s.total_cycles
+                << " words=" << s.words_copied << " mem=" << s.mem_requests
+                << " fifo_miss=" << s.fifo_misses << "  [" << fc.summary()
                 << "]\n";
-      if (v.fault_run) {
-        std::cout << "  recovery: " << v.recovery.summary() << "\n";
+      if (v.report.recovery) {
+        std::cout << "  recovery: " << v.report.recovery->summary() << "\n";
       }
     }
     return true;
   }
-  std::cout << label << " FAILED\n" << v.summary() << "\n";
+  std::cout << label << " FAILED\n";
+  print_failure(fc, v);
   std::cout << "repro: fuzz_gc " << fc.summary() << "\n";
   if (repro != nullptr) *repro = fc;
   if (opt.minimize) {
     const hwgc::FuzzCase small = hwgc::minimize_case(fc);
     std::cout << "minimized: fuzz_gc " << small.summary() << "\n";
-    const hwgc::FuzzVerdict mv = hwgc::run_fuzz_case(small);
-    if (!mv.ok) std::cout << mv.summary() << "\n";
+    const hwgc::ConformanceVerdict mv = hwgc::run_fuzz_case(small);
+    if (!mv.ok) print_failure(small, mv);
     if (repro != nullptr) *repro = small;
   }
   return false;

@@ -96,6 +96,12 @@ CliOptions parse(int argc, char** argv) {
       .metavar("PATH");
   t.parse(argc, argv);
   if (o.sim.coprocessor.num_cores == 0) t.fail("--cores must be >= 1");
+  // Checked before anything is built: the live set, and with it the heap,
+  // grows linearly with the scale (javac at scale 4 peaks near 230 MiB).
+  constexpr int kMaxScale = 32;
+  if (!(o.scale > 0.0 && o.scale <= kMaxScale)) {
+    t.fail("--scale must be in (0, " + std::to_string(kMaxScale) + "]");
+  }
   return o;
 }
 

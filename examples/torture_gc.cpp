@@ -162,7 +162,7 @@ int main(int argc, char** argv) {
           g.nodes = opt.nodes;
           ConformanceCase c;
           c.plan = make_random_plan(seed, g);
-          c.harness.threads = threads;
+          c.harness.cores = threads;
           c.harness.schedule_seed = seed ^ (threads * 0x9e3779b9ULL);
           c.harness.mutator_seed = seed * 31 + threads;
           c.harness.mutator_op_spacing = 1;

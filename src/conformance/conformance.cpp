@@ -5,7 +5,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "conformance/forwarding.hpp"
 #include "heap/object_model.hpp"
 
 namespace hwgc {
@@ -18,77 +17,135 @@ std::string hex(Addr a) {
   return os.str();
 }
 
-/// The concurrent collector's checks: its mutator may disconnect pre-live
-/// objects mid-cycle (incremental update loses them by design) and keeps
-/// rewriting fields, so the oracle verifies the *evacuated subset* — every
-/// forwarded pre-live object maps injectively into a dense evacuation
-/// extent [base, alloc_ptr), shapes survive, the untouched root prefix is
-/// redirected, and the collector's own counters agree with the subset.
-void check_concurrent_structure(const char* who, const HeapSnapshot& pre,
-                                const Heap& post, const CycleReport& report,
-                                std::vector<std::string>& errors) {
+/// Reads the forwarding map {pre addr -> copy} out of a collected heap and
+/// checks that it is injective into the current space and that every copy
+/// keeps its object's shape. With `total` every pre-live object must be
+/// forwarded; a collector whose mutator may disconnect objects mid-cycle
+/// passes false. `who` prefixes every diagnostic. Returns false when the
+/// map is unusable for the checks that build on it.
+bool extract_forwarding_map(const char* who, const HeapSnapshot& pre,
+                            const Heap& post, bool total,
+                            std::unordered_map<Addr, Addr>& fwd,
+                            std::vector<std::string>& errors) {
   const WordMemory& mem = post.memory();
   const Addr base = post.layout().current_base();
-
-  std::unordered_map<Addr, Addr> fwd;
-  std::unordered_map<Addr, Addr> image_to_pre;
+  const Addr end = post.layout().current_end();
+  std::unordered_set<Addr> images;
+  bool usable = true;
+  fwd.reserve(pre.objects.size());
   for (const auto& rec : pre.objects) {
-    const Word attrs = mem.load(attributes_addr(rec.addr));
-    if (!is_forwarded(attrs)) continue;  // disconnected mid-cycle: allowed
+    if (!is_forwarded(mem.load(attributes_addr(rec.addr)))) {
+      if (total) {
+        errors.push_back(std::string(who) + ": live object " + hex(rec.addr) +
+                         " has no forwarding pointer");
+        usable = false;
+      }
+      continue;
+    }
     const Addr copy = mem.load(link_addr(rec.addr));
-    if (!image_to_pre.emplace(copy, rec.addr).second) {
-      errors.push_back(std::string(who) +
-                       ": forwarding map not injective at copy " + hex(copy));
-      return;
+    const bool outside = copy < base || copy >= end;
+    if (outside || !images.insert(copy).second) {
+      errors.push_back(std::string(who) + ": forwarding map " +
+                       (outside ? "outside the current space"
+                                : "not injective") +
+                       " at copy " + hex(copy));
+      usable = false;
+      continue;
     }
     fwd.emplace(rec.addr, copy);
-    // Shape survival: the copy's header must describe the same object.
     const Word cattrs = mem.load(attributes_addr(copy));
     if (pi_of(cattrs) != rec.pi || delta_of(cattrs) != rec.delta) {
       errors.push_back(std::string(who) + ": copy of " + hex(rec.addr) +
                        " changed shape");
     }
   }
+  return usable;
+}
 
-  // The evacuated copies must tile [base, alloc_ptr) exactly — evacuation
-  // stays dense even while the mutator bump-allocates from the top.
-  std::vector<Addr> sorted;
-  sorted.reserve(image_to_pre.size());
-  for (const auto& [copy, from] : image_to_pre) {
-    (void)from;
-    sorted.push_back(copy);
-  }
-  std::sort(sorted.begin(), sorted.end());
-  Addr expect = base;
-  for (Addr copy : sorted) {
-    if (copy != expect) {
-      errors.push_back(std::string(who) +
-                       ": evacuated copies do not tile the evacuation "
-                       "extent: expected image at " +
-                       hex(expect) + ", next is " + hex(copy));
-      return;
+/// Byte-for-byte equivalence of two collectors' tospace images modulo copy
+/// order: for every pre-live object, the two copies must have the same
+/// shape, the same data words, and pointer fields denoting the same
+/// pre-cycle child (resolved through each heap's own forwarding map).
+void cross_compare_images(const char* a_name, const char* b_name,
+                          const HeapSnapshot& pre, const Heap& a,
+                          const Heap& b,
+                          const std::unordered_map<Addr, Addr>& fwd_a,
+                          const std::unordered_map<Addr, Addr>& fwd_b,
+                          std::vector<std::string>& errors) {
+  for (const auto& rec : pre.objects) {
+    const Addr ca = fwd_a.at(rec.addr);
+    const Addr cb = fwd_b.at(rec.addr);
+    const Word attrs_a = a.memory().load(attributes_addr(ca));
+    const Word attrs_b = b.memory().load(attributes_addr(cb));
+    if (pi_of(attrs_a) != pi_of(attrs_b) ||
+        delta_of(attrs_a) != delta_of(attrs_b)) {
+      errors.push_back("image shapes diverge for pre object " + hex(rec.addr));
+      continue;
     }
-    expect += object_words(mem.load(attributes_addr(copy)));
+    for (Word i = 0; i < rec.pi; ++i) {
+      const Addr old_child = rec.pointers[i];
+      const Addr want_a = old_child == kNullPtr ? kNullPtr : fwd_a.at(old_child);
+      const Addr want_b = old_child == kNullPtr ? kNullPtr : fwd_b.at(old_child);
+      const Addr got_a = a.memory().load(pointer_field_addr(ca, i));
+      const Addr got_b = b.memory().load(pointer_field_addr(cb, i));
+      if (got_a != want_a || got_b != want_b) {
+        errors.push_back("pointer field " + std::to_string(i) +
+                         " of pre object " + hex(rec.addr) +
+                         " denotes different children: " + a_name + " " +
+                         hex(got_a) + "/" + hex(want_a) + ", " + b_name + " " +
+                         hex(got_b) + "/" + hex(want_b));
+      }
+    }
+    for (Word j = 0; j < rec.delta; ++j) {
+      const Word da = a.memory().load(data_field_addr(ca, rec.pi, j));
+      const Word db = b.memory().load(data_field_addr(cb, rec.pi, j));
+      if (da != db) {
+        errors.push_back("data word " + std::to_string(j) + " of pre object " +
+                         hex(rec.addr) + " diverges: " + std::to_string(da) +
+                         " != " + std::to_string(db));
+      }
+    }
   }
-  if (expect != post.alloc_ptr()) {
-    errors.push_back(std::string(who) +
-                     ": evacuation extent ends at " + hex(expect) +
-                     ", published alloc pointer is " + hex(post.alloc_ptr()));
-  }
-  const std::uint64_t evac_words = expect - base;
-  if (report.words_copied != evac_words) {
-    errors.push_back(std::string(who) + ": words_copied counter " +
-                     std::to_string(report.words_copied) + " != " +
-                     std::to_string(evac_words) + " evacuated words");
-  }
-  if (report.evacuations != fwd.size()) {
-    errors.push_back(std::string(who) + ": evacuation count " +
-                     std::to_string(report.evacuations) + " != " +
-                     std::to_string(fwd.size()) + " forwarded objects");
-  }
+}
 
-  // The original root slots (the prefix before the mutator's registers,
-  // which the mutator never writes) must be redirected through the map.
+/// A fault-injected run must recover, and its fault accounting must add
+/// up: the plan holds the requested events, the attempts account for
+/// every firing, and the log records each one. Returns false when the run
+/// did not recover (the heap holds the restored pre-cycle image).
+bool check_recovery(const char* who, const RecoveryReport& r,
+                    std::vector<std::string>& errors) {
+  if (!r.ok) {
+    errors.push_back(std::string(who) + ": recovery failed: " + r.summary());
+    return false;
+  }
+  if (r.faults_injected != r.faults_requested) {
+    errors.push_back(std::string(who) + ": fault plan holds " +
+                     std::to_string(r.faults_injected) +
+                     " events, config requested " +
+                     std::to_string(r.faults_requested));
+  }
+  std::uint64_t fired = 0;
+  for (const auto& a : r.attempts) fired += a.faults_fired;
+  if (fired != r.faults_fired) {
+    errors.push_back(std::string(who) +
+                     ": fault accounting mismatch: attempts account for " +
+                     std::to_string(fired) + " firings, injector reports " +
+                     std::to_string(r.faults_fired));
+  }
+  if (r.faults_fired != r.fault_log.size()) {
+    errors.push_back(std::string(who) + ": fault log holds " +
+                     std::to_string(r.fault_log.size()) + " entries for " +
+                     std::to_string(r.faults_fired) + " firings");
+  }
+  return true;
+}
+
+/// The original root slots — the prefix before the mutator registers,
+/// which the mutators never write — must be redirected through `fwd`.
+void check_root_redirects(const char* who, const HeapSnapshot& pre,
+                          const Heap& post,
+                          const std::unordered_map<Addr, Addr>& fwd,
+                          std::vector<std::string>& errors) {
   const auto& roots = post.roots();
   for (std::size_t i = 0; i < pre.roots.size() && i < roots.size(); ++i) {
     const Addr old_root = pre.roots[i];
@@ -103,6 +160,57 @@ void check_concurrent_structure(const char* who, const HeapSnapshot& pre,
                        ", copy is at " + hex(it->second));
     }
   }
+}
+
+/// The concurrent collector's checks: its mutator may disconnect pre-live
+/// objects mid-cycle (incremental update loses them by design) and keeps
+/// rewriting fields, so the oracle verifies the *evacuated subset* — every
+/// forwarded pre-live object maps injectively into a dense evacuation
+/// extent [base, alloc_ptr), shapes survive, the untouched root prefix is
+/// redirected, and the collector's own counters agree with the subset.
+void check_concurrent_structure(const char* who, const HeapSnapshot& pre,
+                                const Heap& post, const CycleReport& report,
+                                std::vector<std::string>& errors) {
+  const Addr base = post.layout().current_base();
+  std::unordered_map<Addr, Addr> fwd;
+  if (!extract_forwarding_map(who, pre, post, /*total=*/false, fwd, errors)) {
+    return;
+  }
+
+  // The evacuated copies must tile [base, alloc_ptr) exactly — evacuation
+  // stays dense even while the mutator bump-allocates from the top.
+  std::vector<Addr> sorted;
+  sorted.reserve(fwd.size());
+  for (const auto& entry : fwd) sorted.push_back(entry.second);
+  std::sort(sorted.begin(), sorted.end());
+  Addr end = base;
+  for (Addr copy : sorted) {
+    if (copy != end) {
+      errors.push_back(std::string(who) +
+                       ": evacuated copies do not tile the evacuation "
+                       "extent: expected image at " +
+                       hex(end) + ", next is " + hex(copy));
+      return;
+    }
+    end += object_words(post.memory().load(attributes_addr(copy)));
+  }
+  if (end != post.alloc_ptr()) {
+    errors.push_back(std::string(who) +
+                     ": evacuation extent ends at " + hex(end) +
+                     ", published alloc pointer is " + hex(post.alloc_ptr()));
+  }
+  const std::uint64_t evac_words = end - base;
+  if (report.words_copied != evac_words) {
+    errors.push_back(std::string(who) + ": words_copied counter " +
+                     std::to_string(report.words_copied) + " != " +
+                     std::to_string(evac_words) + " evacuated words");
+  }
+  if (report.evacuations != fwd.size()) {
+    errors.push_back(std::string(who) + ": evacuation count " +
+                     std::to_string(report.evacuations) + " != " +
+                     std::to_string(fwd.size()) + " forwarded objects");
+  }
+  check_root_redirects(who, pre, post, fwd, errors);
 }
 
 /// The pauseless snapshot collector's checks. SATB gives a *stronger*
@@ -120,30 +228,10 @@ void check_snapshot_structure(const char* who, const HeapSnapshot& pre,
   const WordMemory& mem = post.memory();
   const Addr base = post.layout().current_base();
   const Addr end = post.alloc_ptr();
-
-  // SATB totality + injectivity + shape survival over the snapshot set.
   std::unordered_map<Addr, Addr> fwd;
-  std::unordered_set<Addr> images;
-  for (const auto& rec : pre.objects) {
-    const Word attrs = mem.load(attributes_addr(rec.addr));
-    if (!is_forwarded(attrs)) {
-      errors.push_back(std::string(who) + ": snapshot-live object " +
-                       hex(rec.addr) +
-                       " was never evacuated (SATB totality violated)");
-      return;
-    }
-    const Addr copy = mem.load(link_addr(rec.addr));
-    if (!images.insert(copy).second) {
-      errors.push_back(std::string(who) +
-                       ": forwarding map not injective at copy " + hex(copy));
-      return;
-    }
-    fwd.emplace(rec.addr, copy);
-    const Word cattrs = mem.load(attributes_addr(copy));
-    if (pi_of(cattrs) != rec.pi || delta_of(cattrs) != rec.delta) {
-      errors.push_back(std::string(who) + ": copy of " + hex(rec.addr) +
-                       " changed shape");
-    }
+  // SATB totality: every object live at the snapshot was evacuated.
+  if (!extract_forwarding_map(who, pre, post, /*total=*/true, fwd, errors)) {
+    return;
   }
 
   // Walk the dense evacuation extent [base, alloc_ptr): snapshot copies
@@ -167,10 +255,11 @@ void check_snapshot_structure(const char* who, const HeapSnapshot& pre,
                      "the published alloc pointer at " + hex(a));
     return;
   }
-  for (const Addr copy : images) {
+  for (const auto& [from, copy] : fwd) {
     if (starts.find(copy) == starts.end()) {
       errors.push_back(std::string(who) + ": snapshot copy " + hex(copy) +
-                       " lies outside the evacuation extent");
+                       " of " + hex(from) + " lies outside the evacuation "
+                       "extent");
     }
   }
   // Closure: no pointer field of any copy may dangle outside the extent.
@@ -201,23 +290,10 @@ void check_snapshot_structure(const char* who, const HeapSnapshot& pre,
                      std::to_string(end - base) + " extent words");
   }
 
-  // Original root slots (the prefix before the mutator registers, which
-  // the mutators never write) are redirected through the snapshot map;
-  // every slot, mutator registers included, must land inside the extent.
+  // Every root slot, mutator registers included, must land inside the
+  // extent.
+  check_root_redirects(who, pre, post, fwd, errors);
   const auto& roots = post.roots();
-  for (std::size_t i = 0; i < pre.roots.size() && i < roots.size(); ++i) {
-    const Addr old_root = pre.roots[i];
-    if (old_root == kNullPtr) continue;
-    const auto it = fwd.find(old_root);
-    if (it == fwd.end()) {
-      errors.push_back(std::string(who) + ": root " + std::to_string(i) +
-                       " referent " + hex(old_root) + " was never evacuated");
-    } else if (roots[i] != it->second) {
-      errors.push_back(std::string(who) + ": root " + std::to_string(i) +
-                       " not forwarded: holds " + hex(roots[i]) +
-                       ", copy is at " + hex(it->second));
-    }
-  }
   for (std::size_t i = 0; i < roots.size(); ++i) {
     if (roots[i] != kNullPtr && starts.find(roots[i]) == starts.end()) {
       errors.push_back(std::string(who) + ": root " + std::to_string(i) +
@@ -248,7 +324,7 @@ double conformance_heap_factor(CollectorId id, const ConformanceCase& c) {
     // thread count so the floor-sized chunks of every thread always fit.
     const double live =
         static_cast<double>(std::max<std::uint64_t>(1, c.plan.live_words()));
-    factor += static_cast<double>(c.harness.threads) * 64.0 / live;
+    factor += static_cast<double>(c.harness.cores) * 64.0 / live;
   }
   if (t.concurrent_mutator) {
     // Real mutator threads bump-allocate fromspace while the cycle runs;
@@ -264,6 +340,9 @@ void check_post_structure(CollectorId id, const HeapSnapshot& pre,
   const CollectorTraits t = traits_of(id);
   const char* who = to_string(id);
 
+  if (report.recovery && !check_recovery(who, *report.recovery, errors)) {
+    return;
+  }
   for (const auto& x : report.lock_order_violations) {
     errors.push_back(std::string(who) + ": lock order: " + x);
   }
@@ -282,7 +361,8 @@ void check_post_structure(CollectorId id, const HeapSnapshot& pre,
     return;
   }
 
-  // Liveness preservation + (where promised) dense compaction.
+  // Liveness preservation + (where promised) dense compaction: the copies
+  // tile tospace from its base, with the allocation pointer at their end.
   VerifyOptions opts;
   opts.require_dense = t.dense;
   const VerifyResult vr = verify_collection(pre, post, opts);
@@ -290,11 +370,9 @@ void check_post_structure(CollectorId id, const HeapSnapshot& pre,
     errors.push_back(std::string(who) + ": " + e);
   }
 
-  // Forwarding-map bijectivity; dense tiling where promised.
+  // Forwarding-map bijectivity.
   std::unordered_map<Addr, Addr> fwd;
-  if (extract_forwarding_map(who, pre, post, errors, fwd) && t.dense) {
-    check_dense_tiling(who, pre, post, fwd, errors);
-  }
+  extract_forwarding_map(who, pre, post, /*total=*/true, fwd, errors);
 
   // Single-evacuation counters: injectivity above rules out double copies,
   // the collector's own counter rules out phantom or lost evacuations.
@@ -366,9 +444,10 @@ ConformanceVerdict run_conformance_case(CollectorId id,
     SequentialCheney::collect(*ref.heap);
     std::vector<std::string> errs;
     std::unordered_map<Addr, Addr> fwd, fwd_ref;
-    const bool a_ok = extract_forwarding_map(who, pre, *w.heap, errs, fwd);
-    const bool b_ok =
-        extract_forwarding_map("sequential", pre_ref, *ref.heap, errs, fwd_ref);
+    const bool a_ok =
+        extract_forwarding_map(who, pre, *w.heap, /*total=*/true, fwd, errs);
+    const bool b_ok = extract_forwarding_map("sequential", pre_ref, *ref.heap,
+                                             /*total=*/true, fwd_ref, errs);
     if (a_ok && b_ok) {
       cross_compare_images(who, "sequential", pre, *w.heap, *ref.heap, fwd,
                            fwd_ref, errs);

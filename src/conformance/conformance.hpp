@@ -1,10 +1,10 @@
-// Property-based conformance oracle, shared by every collector.
-//
-// Generalizes the fuzz oracle (src/fuzz/oracle.cpp), which is specialized
-// to the coprocessor-vs-Cheney differential pair, to any collector behind a
-// CollectorHarness. One case = one graph plan + one harness configuration;
-// the oracle materializes the plan, runs the collector, and checks the
-// properties the collector's traits promise:
+// Property-based conformance oracle, the one oracle every collection in
+// the repository goes through: the conformance matrix, the torture driver,
+// trace replay (per cycle) and the schedule fuzzer (src/fuzz/, as
+// coprocessor cases). One case = one graph plan + one harness
+// configuration; the oracle materializes the plan, runs the collector
+// behind its CollectorHarness, and checks the properties the collector's
+// traits promise:
 //
 //   * forwarding-map bijectivity — total over the pre-live set and
 //     injective (image-preserving collectors), injective over the
@@ -21,7 +21,10 @@
 //     reference run over the same plan;
 //   * idempotence of immediate re-collection — a second cycle over the
 //     freshly collected heap must preserve the graph again and copy
-//     exactly the same live set.
+//     exactly the same live set;
+//   * for fault-injected coprocessor runs, recovery and its fault
+//     accounting — an injected fault may be masked or recovered, never
+//     silently corrupting.
 #pragma once
 
 #include <cstdint>
@@ -68,9 +71,10 @@ struct ConformanceVerdict {
 /// slack cannot exhaust tospace on small graphs.
 double conformance_heap_factor(CollectorId id, const ConformanceCase& c);
 
-/// Structural post-state checks on an already-collected heap: liveness
-/// (verify_collection), forwarding bijectivity, density or fragmentation
-/// accounting, and counter consistency — everything that can be judged
+/// Structural post-state checks on an already-collected heap: recovery
+/// accounting, lock order, liveness (verify_collection), forwarding
+/// bijectivity, density or fragmentation accounting, and counter
+/// consistency — everything that can be judged
 /// from (pre snapshot, post heap, report). Shared by run_conformance_case
 /// and the negative tests, which seed deliberate corruptions into the post
 /// heap and expect these checks to name them specifically.

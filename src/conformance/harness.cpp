@@ -81,54 +81,47 @@ CollectorTraits traits_of(CollectorId id) noexcept {
   return t;
 }
 
-namespace {
-
-SimConfig sim_config_from(const HarnessConfig& cfg) {
-  SimConfig sim;
-  sim.coprocessor.num_cores = cfg.threads;
-  sim.coprocessor.header_fifo_capacity = cfg.header_fifo_capacity;
-  sim.coprocessor.schedule = cfg.schedule;
-  sim.coprocessor.schedule_seed = cfg.schedule_seed;
-  sim.memory.latency_jitter = cfg.latency_jitter;
-  sim.memory.jitter_seed = cfg.schedule_seed ^ 0x9e3779b97f4a7c15ULL;
+SimConfig HarnessConfig::coprocessor_config() const {
+  SimConfig sim = sim_config();
+  sim.fault = fault;
+  sim.recovery.enabled = fault.enabled();
   return sim;
 }
 
-std::uint64_t parallel_sync_ops(const ParallelGcStats& s) {
-  return s.cas_ops + s.mutex_acquisitions + s.steal_attempts;
-}
-
-CycleReport report_from(const ParallelGcStats& s) {
+CycleReport coprocessor_report(const GcCycleStats& s) {
   CycleReport r;
   r.objects_copied = s.objects_copied;
   r.words_copied = s.words_copied;
-  r.wasted_words = s.wasted_words;
-  r.sync_ops = parallel_sync_ops(s);
-  r.evacuations = s.objects_copied;
-  r.parallel = s;
+  for (const CoreCounters& c : s.per_core) r.evacuations += c.objects_evacuated;
+  r.lock_order_violations = s.lock_order_violations;
+  r.coproc = s;
   return r;
 }
 
+namespace {
+
 class CoprocessorHarness final : public CollectorHarness {
  public:
-  explicit CoprocessorHarness(const HarnessConfig& cfg) : cfg_(cfg) {}
+  explicit CoprocessorHarness(const HarnessConfig& cfg)
+      : sim_(cfg.coprocessor_config()) {}
   CollectorId id() const noexcept override {
     return CollectorId::kCoprocessor;
   }
   CycleReport collect(Heap& heap) override {
-    Coprocessor coproc(sim_config_from(cfg_), heap);
-    const GcCycleStats s = coproc.collect();
-    CycleReport r;
-    r.objects_copied = s.objects_copied;
-    r.words_copied = s.words_copied;
-    for (const auto& c : s.per_core) r.evacuations += c.objects_evacuated;
-    r.lock_order_violations = s.lock_order_violations;
-    r.coproc = s;
+    if (!sim_.recovery.enabled) {
+      return coprocessor_report(Coprocessor(sim_, heap).collect());
+    }
+    RecoveryReport recovered = RecoveringCollector(sim_, heap).collect();
+    CycleReport r = coprocessor_report(recovered.stats);
+    // The sequential fallback counts evacuations as copies, like the
+    // sequential harness: it has no per-core counters.
+    if (recovered.used_sequential_fallback) r.evacuations = r.objects_copied;
+    r.recovery = std::move(recovered);
     return r;
   }
 
  private:
-  HarnessConfig cfg_;
+  SimConfig sim_;
 };
 
 class SequentialHarness final : public CollectorHarness {
@@ -145,70 +138,42 @@ class SequentialHarness final : public CollectorHarness {
   }
 };
 
-class NaiveHarness final : public CollectorHarness {
+/// The four software baselines share one front door: a Config carrying
+/// `threads` and `torture`, and collect(heap) -> ParallelGcStats.
+template <class Collector, CollectorId kId>
+class SoftwareHarness final : public CollectorHarness {
  public:
-  explicit NaiveHarness(const HarnessConfig& cfg) {
-    cfg_.threads = cfg.threads;
+  explicit SoftwareHarness(const HarnessConfig& cfg) {
+    cfg_.threads = cfg.cores;
     cfg_.torture = cfg.torture;
   }
-  CollectorId id() const noexcept override { return CollectorId::kNaive; }
+  CollectorId id() const noexcept override { return kId; }
   CycleReport collect(Heap& heap) override {
-    return report_from(NaiveParallelCheney(cfg_).collect(heap));
+    const ParallelGcStats s = Collector(cfg_).collect(heap);
+    CycleReport r;
+    r.objects_copied = s.objects_copied;
+    r.words_copied = s.words_copied;
+    r.wasted_words = s.wasted_words;
+    r.sync_ops = s.cas_ops + s.mutex_acquisitions + s.steal_attempts;
+    r.evacuations = s.objects_copied;
+    r.parallel = s;
+    return r;
   }
 
  private:
-  NaiveParallelCheney::Config cfg_;
-};
-
-class ChunkedHarness final : public CollectorHarness {
- public:
-  explicit ChunkedHarness(const HarnessConfig& cfg) {
-    cfg_.threads = cfg.threads;
-    cfg_.torture = cfg.torture;
-  }
-  CollectorId id() const noexcept override { return CollectorId::kChunked; }
-  CycleReport collect(Heap& heap) override {
-    return report_from(ChunkedCopyingCollector(cfg_).collect(heap));
-  }
-
- private:
-  ChunkedCopyingCollector::Config cfg_;
-};
-
-class PacketsHarness final : public CollectorHarness {
- public:
-  explicit PacketsHarness(const HarnessConfig& cfg) {
-    cfg_.threads = cfg.threads;
-    cfg_.torture = cfg.torture;
-  }
-  CollectorId id() const noexcept override { return CollectorId::kPackets; }
-  CycleReport collect(Heap& heap) override {
-    return report_from(WorkPacketCollector(cfg_).collect(heap));
-  }
-
- private:
-  WorkPacketCollector::Config cfg_;
-};
-
-class StealingHarness final : public CollectorHarness {
- public:
-  explicit StealingHarness(const HarnessConfig& cfg) {
-    cfg_.threads = cfg.threads;
-    cfg_.torture = cfg.torture;
-  }
-  CollectorId id() const noexcept override { return CollectorId::kStealing; }
-  CycleReport collect(Heap& heap) override {
-    return report_from(WorkStealingCollector(cfg_).collect(heap));
-  }
-
- private:
-  WorkStealingCollector::Config cfg_;
+  typename Collector::Config cfg_;
 };
 
 class ConcurrentHarness final : public CollectorHarness {
  public:
   explicit ConcurrentHarness(const HarnessConfig& cfg) {
-    cfg_.sim = sim_config_from(cfg);
+    // The concurrent cycle takes the schedule, FIFO and jitter knobs but
+    // runs the paper's measured feature set: no sub-object copying and no
+    // early mark-bit read.
+    CoprocessorKnobs knobs = cfg;
+    knobs.subobject_copy = false;
+    knobs.markbit_early_read = false;
+    cfg_.sim = knobs.sim_config();
     cfg_.mutator_seed = cfg.mutator_seed;
     cfg_.op_spacing = cfg.mutator_op_spacing;
     cfg_.registers = cfg.mutator_registers;
@@ -236,7 +201,7 @@ class ConcurrentHarness final : public CollectorHarness {
 class SnapshotHarness final : public CollectorHarness {
  public:
   explicit SnapshotHarness(const HarnessConfig& cfg) {
-    cfg_.threads = cfg.threads;
+    cfg_.threads = cfg.cores;
     cfg_.mutator_threads = cfg.mutator_threads;
     cfg_.mutator_registers = cfg.mutator_registers;
     cfg_.mutator_seed = cfg.mutator_seed;
@@ -269,13 +234,18 @@ std::unique_ptr<CollectorHarness> make_harness(CollectorId id,
     case CollectorId::kSequential:
       return std::make_unique<SequentialHarness>();
     case CollectorId::kNaive:
-      return std::make_unique<NaiveHarness>(cfg);
+      return std::make_unique<
+          SoftwareHarness<NaiveParallelCheney, CollectorId::kNaive>>(cfg);
     case CollectorId::kChunked:
-      return std::make_unique<ChunkedHarness>(cfg);
+      return std::make_unique<
+          SoftwareHarness<ChunkedCopyingCollector, CollectorId::kChunked>>(
+          cfg);
     case CollectorId::kPackets:
-      return std::make_unique<PacketsHarness>(cfg);
+      return std::make_unique<
+          SoftwareHarness<WorkPacketCollector, CollectorId::kPackets>>(cfg);
     case CollectorId::kStealing:
-      return std::make_unique<StealingHarness>(cfg);
+      return std::make_unique<
+          SoftwareHarness<WorkStealingCollector, CollectorId::kStealing>>(cfg);
     case CollectorId::kConcurrent:
       return std::make_unique<ConcurrentHarness>(cfg);
     case CollectorId::kSnapshot:

@@ -23,6 +23,7 @@
 #include "baselines/sequential_cheney.hpp"
 #include "concurrent_mutator/snapshot_collector.hpp"
 #include "core/concurrent_cycle.hpp"
+#include "fault/recovery.hpp"
 #include "heap/heap.hpp"
 #include "sim/config.hpp"
 #include "sim/counters.hpp"
@@ -104,26 +105,31 @@ struct CycleReport {
 
   // Family payloads — exactly one is populated per run.
   std::optional<GcCycleStats> coproc;
+  /// Coprocessor collections run through RecoveringCollector (fault
+  /// injection enabled) also carry how the run was recovered.
+  std::optional<RecoveryReport> recovery;
   std::optional<SequentialGcStats> sequential;
   std::optional<ParallelGcStats> parallel;
   std::optional<ConcurrentStats> concurrent;
   std::optional<SnapshotGcStats> snapshot;
 };
 
+/// The coprocessor-path CycleReport of one collection's GcCycleStats.
+CycleReport coprocessor_report(const GcCycleStats& s);
+
 /// Knobs shared across the whole matrix; each harness picks out what its
-/// collector understands and ignores the rest.
-struct HarnessConfig {
-  /// Worker threads (software baselines) or GC cores (simulators).
-  std::uint32_t threads = 4;
+/// collector understands and ignores the rest. The embedded
+/// CoprocessorKnobs drive the simulators; `cores` doubles as the worker
+/// thread count of the software baselines.
+struct HarnessConfig : CoprocessorKnobs {
+  HarnessConfig() { cores = 4; }
+
   /// Schedule perturbation for the threaded baselines (no effect on the
   /// simulators, whose nondeterminism knob is `schedule`/`schedule_seed`).
   TortureKnobs torture{};
-  /// Simulator core-step schedule policy and seed.
-  SchedulePolicyKind schedule = SchedulePolicyKind::kFixedPriority;
-  std::uint64_t schedule_seed = 0;
-  /// Simulator memory-latency jitter (cycles).
-  Cycle latency_jitter = 0;
-  std::uint32_t header_fifo_capacity = 32 * 1024;
+  /// Coprocessor only: hardware fault injection. When enabled the
+  /// collection runs through RecoveringCollector.
+  FaultConfig fault{};
   /// Concurrent cycle: mutator program seed and op spacing.
   std::uint64_t mutator_seed = 1;
   std::uint32_t mutator_op_spacing = 3;
@@ -135,6 +141,10 @@ struct HarnessConfig {
   /// Snapshot collector only: real mutator threads spawned for the cycle.
   /// 0 is quiescent, same convention as mutator_registers.
   std::uint32_t mutator_threads = 2;
+
+  /// The coprocessor's configuration: the knobs, plus the fault plan and
+  /// the recovery machinery when fault injection is enabled.
+  SimConfig coprocessor_config() const;
 };
 
 /// One collector behind the uniform entry point. Stateless between calls:

@@ -55,11 +55,14 @@ struct PreImage {
 RecoveringCollector::RecoveringCollector(const SimConfig& cfg, Heap& heap)
     : RecoveringCollector(
           cfg, heap,
-          FaultPlan::from_config(cfg.fault, cfg.coprocessor.num_cores)) {}
+          FaultPlan::from_config(cfg.fault, cfg.coprocessor.num_cores)) {
+  requested_ = cfg.fault.events;
+}
 
 RecoveringCollector::RecoveringCollector(const SimConfig& cfg, Heap& heap,
                                          FaultPlan plan)
-    : cfg_(cfg), heap_(heap), injector_(std::move(plan)) {
+    : cfg_(cfg), heap_(heap), requested_(plan.size()),
+      injector_(std::move(plan)) {
   injector_.attach_memory(&heap_.memory());
 }
 
@@ -72,6 +75,7 @@ RecoveryReport RecoveringCollector::collect(SignalTrace* trace,
                                             TelemetryBus* telemetry,
                                             CycleProfiler* profiler) {
   RecoveryReport report;
+  report.faults_requested = requested_;
   report.faults_injected = injector_.plan().size();
   injector_.attach_trace(trace);
   injector_.attach_telemetry(telemetry);

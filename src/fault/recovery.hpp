@@ -56,6 +56,8 @@ struct RecoveryReport {
   std::vector<CoreId> deconfigured; ///< physical cores dropped along the way
   bool used_sequential_fallback = false;
 
+  /// Events the configuration asked for (an explicit plan's size).
+  std::uint64_t faults_requested = 0;
   std::uint64_t faults_injected = 0;  ///< events in the plan
   std::uint64_t faults_fired = 0;     ///< firings across all attempts
   /// Events that fired during the final, successful attempt — by
@@ -113,6 +115,7 @@ class RecoveringCollector {
 
   SimConfig cfg_;
   Heap& heap_;
+  std::uint64_t requested_ = 0;  ///< before injector_, which takes the plan
   FaultInjector injector_;
 };
 

@@ -10,6 +10,8 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
 #include <string>
 
 #include "sim/types.hpp"
@@ -243,6 +245,82 @@ struct SimConfig {
     }
     return s;
   }
+};
+
+/// The knobs that name one reproducible coprocessor run. Static-priority
+/// arbitration makes the run a pure function of these plus the heap, so
+/// a fuzz case (FuzzCase), a recorded trace (TraceHeader) and a conformance
+/// case (HarnessConfig) all embed this one record, and each turns it into
+/// a SimConfig through the one sim_config() below.
+struct CoprocessorKnobs {
+  /// Largest core count check() admits. The prototype has 16 cores and
+  /// every configuration in the repository uses 16 or fewer; the bound
+  /// keeps a hostile header from sizing per-core state without limit.
+  static constexpr std::uint32_t kMaxCores = 64;
+
+  std::uint32_t cores = 8;
+  std::uint32_t header_fifo_capacity = 32 * 1024;
+  SchedulePolicyKind schedule = SchedulePolicyKind::kFixedPriority;
+  /// Seeds both the schedule permutation and the memory-jitter stream.
+  std::uint64_t schedule_seed = 0;
+  Cycle latency_jitter = 0;
+  bool subobject_copy = false;
+  bool markbit_early_read = false;
+
+  /// The simulator configuration of this run: defaults everywhere else.
+  SimConfig sim_config() const {
+    SimConfig cfg;
+    cfg.coprocessor.num_cores = cores;
+    cfg.coprocessor.header_fifo_capacity = header_fifo_capacity;
+    cfg.coprocessor.schedule = schedule;
+    cfg.coprocessor.schedule_seed = schedule_seed;
+    cfg.coprocessor.subobject_copy = subobject_copy;
+    cfg.coprocessor.markbit_early_read = markbit_early_read;
+    cfg.memory.latency_jitter = latency_jitter;
+    cfg.memory.jitter_seed = schedule_seed ^ 0x9e3779b97f4a7c15ULL;
+    return cfg;
+  }
+
+  /// The knobs of `cfg`: the inverse of sim_config() on the fields it sets.
+  static CoprocessorKnobs of(const SimConfig& cfg) {
+    return {cfg.coprocessor.num_cores,
+            cfg.coprocessor.header_fifo_capacity,
+            cfg.coprocessor.schedule,
+            cfg.coprocessor.schedule_seed,
+            cfg.memory.latency_jitter,
+            cfg.coprocessor.subobject_copy,
+            cfg.coprocessor.markbit_early_read};
+  }
+
+  /// Rejects a record the simulator cannot run: `cores` of 0 or above
+  /// kMaxCores. Throws std::invalid_argument; its message starts with the
+  /// field's name, which is also its hwgc-trace-v1 name.
+  void check() const {
+    if (cores == 0 || cores > kMaxCores) {
+      throw std::invalid_argument("cores must be in 1.." +
+                                  std::to_string(kMaxCores) + ", got " +
+                                  std::to_string(cores));
+    }
+  }
+
+  /// The other half of check(), for knob `field` read as a raw number from
+  /// outside the program: narrows `raw` to the field's type T, rejecting a
+  /// value that does not fit T and a flag (bool) other than 0 or 1. Throws
+  /// like check().
+  template <class T>
+  static T check(const std::string& field, std::uint64_t raw) {
+    const std::uint64_t max = std::numeric_limits<T>::max();  // bool: 1
+    if (raw > max) {
+      throw std::invalid_argument(
+          field + (max == 1 ? " must be 0 or 1"
+                            : " must be at most " + std::to_string(max)) +
+          ", got " + std::to_string(raw));
+    }
+    return static_cast<T>(raw);
+  }
+
+  friend bool operator==(const CoprocessorKnobs&,
+                         const CoprocessorKnobs&) = default;
 };
 
 }  // namespace hwgc

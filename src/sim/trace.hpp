@@ -172,7 +172,7 @@ class SignalTrace {
     std::string s = text;
     for (std::size_t pos = 0; (pos = s.find("$end", pos)) != std::string::npos;
          pos += 5) {
-      s.insert(pos + 1, " ");
+      s.insert(pos + 1, 1, ' ');
     }
     return s;
   }

@@ -175,20 +175,24 @@ bool write_jsonl_file(const std::string& path, const std::string& jsonl) {
   return f.good();
 }
 
+bool check_field(const JsonKv& kv, const JsonField& f, std::string* error) {
+  if (f.type == JsonType::kString) {
+    const auto s = req_str(kv, f.name, error);
+    if (!s) return false;
+    if (!f.constant.empty() && *s != f.constant) {
+      return set_error(error, f.name + " is not " + f.constant);
+    }
+    return true;
+  }
+  return f.type == JsonType::kU64   ? req_u64(kv, f.name, error).has_value()
+         : f.type == JsonType::kI64 ? req_i64(kv, f.name, error).has_value()
+                                    : req_num(kv, f.name, error).has_value();
+}
+
 bool check_fields(const JsonKv& kv, const std::vector<JsonField>& fields,
                   std::string* error) {
   for (const JsonField& f : fields) {
-    if (f.type == JsonType::kString) {
-      const auto s = req_str(kv, f.name, error);
-      if (!s) return false;
-      if (!f.constant.empty() && *s != f.constant) {
-        return set_error(error, f.name + " is not " + f.constant);
-      }
-    } else if (f.type == JsonType::kU64 ? !req_u64(kv, f.name, error)
-               : f.type == JsonType::kI64 ? !req_i64(kv, f.name, error)
-                                          : !req_num(kv, f.name, error)) {
-      return false;
-    }
+    if (!check_field(kv, f, error)) return false;
   }
   return true;
 }

@@ -17,6 +17,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <initializer_list>
 #include <optional>
@@ -76,31 +77,57 @@ struct JsonField {
   std::string constant;  ///< non-empty: the only value a string may hold
 };
 
-/// The presence-and-type pass: every field of `fields` is present with its
-/// type, and constant fields hold their value ("schema is not X").
+/// The presence-and-type pass for one field: present with its type, and
+/// a constant field holds its value ("schema is not X").
+bool check_field(const JsonKv& kv, const JsonField& field, std::string* error);
+
+/// check_field over every field of `fields`, in order.
 bool check_fields(const JsonKv& kv, const std::vector<JsonField>& fields,
                   std::string* error);
 
 /// One record kind's single declaration: fields in emission order, each
-/// with the function that reads its value from a `Row`.
+/// with the function that reads its value from a `Row` and, for a record
+/// that is also loaded back, the function that stores a parsed value
+/// into a `Row`.
 template <class Row>
 class JsonRecordTable {
  public:
   template <class T>
   using Get = std::function<T(const Row&)>;
+  /// Stores a parsed value; throws (any std::exception, whose message
+  /// read() reports) when the row cannot hold it.
+  template <class T>
+  using Set = std::function<void(Row&, T)>;
 
   JsonRecordTable& constant(std::string name, std::string value) {
     std::string text = "\"" + value + "\"";
     return add({std::move(name), JsonType::kString, std::move(value)},
                [text](const Row&) { return text; });
   }
-  JsonRecordTable& str(std::string name, Get<std::string> get) {
-    return add({std::move(name), JsonType::kString, {}},
-               [get](const Row& r) { return "\"" + get(r) + "\""; });
+  JsonRecordTable& str(std::string name, Get<std::string> get,
+                       Set<std::string> set = {}) {
+    return add({name, JsonType::kString, {}},
+               [get](const Row& r) {
+                 std::string text(1, '"');
+                 return (text += get(r)) += '"';
+               },
+               set ? [name, set](const JsonKv& kv, Row& r) {
+                 set(r, *req_str(kv, name));
+               } : Store{});
   }
-  JsonRecordTable& u64(std::string name, Get<std::uint64_t> get) {
-    return add({std::move(name), JsonType::kU64, {}},
-               [get](const Row& r) { return std::to_string(get(r)); });
+  JsonRecordTable& u64(std::string name, Get<std::uint64_t> get,
+                       Set<std::uint64_t> set = {}) {
+    return add({name, JsonType::kU64, {}},
+               [get](const Row& r) { return std::to_string(get(r)); },
+               set ? [name, set](const JsonKv& kv, Row& r) {
+                 set(r, *req_u64(kv, name));
+               } : Store{});
+  }
+  /// A u64 field kept in member `m` of the row, written and read as is.
+  template <class Base>
+  JsonRecordTable& u64(std::string name, std::uint64_t Base::*m) {
+    return u64(std::move(name), [m](const Row& r) { return r.*m; },
+               [m](Row& r, std::uint64_t v) { r.*m = v; });
   }
   JsonRecordTable& i64(std::string name, Get<std::int64_t> get) {
     return add({std::move(name), JsonType::kI64, {}},
@@ -122,15 +149,37 @@ class JsonRecordTable {
     out += "}\n";
   }
 
+  /// The loader: walks the table in order, checking each field's
+  /// presence and type (check_field) and storing it through its setter.
+  /// Returns false with the first defect in *error — the same message
+  /// the validator reports for the same line.
+  bool read(const JsonKv& kv, Row& row, std::string* error) const {
+    try {
+      for (std::size_t i = 0; i < fields_.size(); ++i) {
+        if (!check_field(kv, fields_[i], error)) return false;
+        if (set_[i]) set_[i](kv, row);
+      }
+    } catch (const std::exception& e) {
+      return set_error(error, e.what());
+    }
+    return true;
+  }
+
  private:
-  JsonRecordTable& add(JsonField field, Get<std::string> text) {
+  /// Stores field i of a line that passed check_field.
+  using Store = std::function<void(const JsonKv&, Row&)>;
+
+  JsonRecordTable& add(JsonField field, Get<std::string> text,
+                       Store set = {}) {
     fields_.push_back(std::move(field));
     text_.push_back(std::move(text));
+    set_.push_back(std::move(set));
     return *this;
   }
 
   std::vector<JsonField> fields_;
   std::vector<Get<std::string>> text_;  ///< renders field i's value
+  std::vector<Store> set_;              ///< stores field i (empty: check only)
 };
 
 /// Cross-line state for file-level hwgc-profile-v1 span checks: duplicate

@@ -22,7 +22,7 @@
 #include <string>
 #include <vector>
 
-#include "fuzz/oracle.hpp"
+#include "fuzz/fuzz_case.hpp"
 #include "trace/trace_format.hpp"
 #include "workloads/benchmarks.hpp"
 #include "workloads/graph_plan.hpp"

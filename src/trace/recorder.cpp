@@ -19,13 +19,7 @@ void TraceRecorder::attach(Runtime& rt) {
   }
   const SimConfig& cfg = rt.config();
   trace_.header.semispace_words = rt.heap().capacity_words();
-  trace_.header.cores = cfg.coprocessor.num_cores;
-  trace_.header.header_fifo_capacity = cfg.coprocessor.header_fifo_capacity;
-  trace_.header.schedule = cfg.coprocessor.schedule;
-  trace_.header.schedule_seed = cfg.coprocessor.schedule_seed;
-  trace_.header.latency_jitter = cfg.memory.latency_jitter;
-  trace_.header.subobject_copy = cfg.coprocessor.subobject_copy;
-  trace_.header.markbit_early_read = cfg.coprocessor.markbit_early_read;
+  static_cast<CoprocessorKnobs&>(trace_.header) = CoprocessorKnobs::of(cfg);
   rt.set_trace_sink(this);
 }
 

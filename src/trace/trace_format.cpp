@@ -1,9 +1,12 @@
 #include "trace/trace_format.hpp"
 
-#include <cstdlib>
+#include <charconv>
 #include <fstream>
+#include <iterator>
 #include <limits>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
 
 #include "core/schedule_policy.hpp"
 #include "heap/object_model.hpp"
@@ -36,35 +39,6 @@ std::string hex(std::uint64_t v) {
   std::ostringstream os;
   os << "0x" << std::hex << v;
   return os.str();
-}
-
-bool parse_u64_str(const std::string& s, std::uint64_t& out) {
-  if (s.empty() || s[0] == '-' || s[0] == '"') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (errno == ERANGE || end == nullptr || *end != '\0') return false;
-  out = static_cast<std::uint64_t>(v);
-  return true;
-}
-
-/// Strips the string-typed marker quotes parse_flat_json_object adds.
-std::string unquote(const std::string& v) {
-  if (v.size() >= 2 && v.front() == '"' && v.back() == '"') {
-    return v.substr(1, v.size() - 2);
-  }
-  return v;
-}
-
-/// Both loaders read semispace_words as u64 on the wire but store a Word;
-/// reject out-of-range values instead of silently truncating to a tiny
-/// semispace that fails later with a confusing object-does-not-fit error.
-Word checked_semispace_words(std::uint64_t v) {
-  if (v > std::numeric_limits<Word>::max()) {
-    fail("semispace_words " + std::to_string(v) + " out of range (max " +
-         std::to_string(std::numeric_limits<Word>::max()) + ")");
-  }
-  return static_cast<Word>(v);
 }
 
 bool parse_kind(const std::string& name, TraceOp::Kind& out) {
@@ -105,21 +79,6 @@ const char* to_string(TraceOp::Kind k) noexcept {
     case TraceOp::Kind::kCount: break;
   }
   return "?";
-}
-
-SimConfig TraceHeader::sim_config() const {
-  SimConfig cfg;
-  cfg.coprocessor.num_cores = cores;
-  cfg.coprocessor.header_fifo_capacity = header_fifo_capacity;
-  cfg.coprocessor.schedule = schedule;
-  cfg.coprocessor.schedule_seed = schedule_seed;
-  cfg.coprocessor.subobject_copy = subobject_copy;
-  cfg.coprocessor.markbit_early_read = markbit_early_read;
-  cfg.memory.latency_jitter = latency_jitter;
-  // Same derivation as the conformance harness: one seed knob drives both
-  // the schedule permutation and the memory-jitter stream.
-  cfg.memory.jitter_seed = schedule_seed ^ 0x9e3779b97f4a7c15ull;
-  return cfg;
 }
 
 std::uint64_t Trace::digest() const {
@@ -346,67 +305,154 @@ Trace scale_trace_sizes(const Trace& trace, double factor) {
   return out;
 }
 
-std::string trace_to_jsonl(const Trace& trace) {
-  const TraceHeader& h = trace.header;
-  std::ostringstream os;
-  os << "{\"schema\":\"hwgc-trace-v1\",\"record\":\"header\",\"name\":\""
-     << sanitize_name(h.name) << "\",\"version\":" << h.version
-     << ",\"semispace_words\":" << h.semispace_words
-     << ",\"cores\":" << h.cores << ",\"fifo\":" << h.header_fifo_capacity
-     << ",\"schedule\":\"" << to_string(h.schedule) << "\""
-     << ",\"schedule_seed\":" << h.schedule_seed
-     << ",\"jitter\":" << h.latency_jitter
-     << ",\"subobject\":" << (h.subobject_copy ? 1 : 0)
-     << ",\"earlyread\":" << (h.markbit_early_read ? 1 : 0)
-     << ",\"events\":" << trace.ops.size() << ",\"digest\":" << trace.digest()
-     << "}\n";
-  for (std::size_t seq = 0; seq < trace.ops.size(); ++seq) {
-    const TraceOp& op = trace.ops[seq];
-    os << "{\"schema\":\"hwgc-trace-v1\",\"record\":\"op\",\"seq\":" << seq
-       << ",\"k\":\"" << to_string(op.kind) << "\",\"a\":" << op.a
-       << ",\"b\":" << op.b << ",\"c\":" << op.c << "}\n";
-  }
-  return os.str();
-}
-
 namespace {
 
-const std::string* find_key(
-    const std::vector<std::pair<std::string, std::string>>& kv,
-    const std::string& key) {
-  for (const auto& [k, v] : kv) {
-    if (k == key) return &v;
-  }
-  return nullptr;
+/// One hwgc-trace-v1 header line: the header plus the stream's declared
+/// event count and digest.
+struct HeaderRecord : TraceHeader {
+  std::uint64_t events = 0;
+  std::uint64_t digest = 0;
+};
+
+/// One hwgc-trace-v1 op line.
+struct OpRecord : TraceOp {
+  std::uint64_t seq = 0;
+};
+
+/// Refuses a value a record cannot hold; JsonRecordTable::read reports
+/// the message.
+[[noreturn]] void reject(const std::string& msg) {
+  throw std::invalid_argument(msg);
 }
 
-std::uint64_t need_u64(
-    const std::vector<std::pair<std::string, std::string>>& kv,
-    const std::string& key, const std::string& where) {
-  const std::string* v = find_key(kv, key);
-  if (v == nullptr) fail("missing field \"" + key + "\" in " + where);
-  std::uint64_t out = 0;
-  if (!parse_u64_str(*v, out)) {
-    fail("field \"" + key + "\" is not an unsigned number in " + where);
+std::uint32_t checked_version(std::uint64_t v) {
+  if (v != 1) {
+    reject("unsupported hwgc-trace version " + std::to_string(v) +
+           " (this build reads version 1)");
   }
-  return out;
+  return 1;
 }
 
-std::string need_str(
-    const std::vector<std::pair<std::string, std::string>>& kv,
-    const std::string& key, const std::string& where) {
-  const std::string* v = find_key(kv, key);
-  if (v == nullptr) fail("missing field \"" + key + "\" in " + where);
-  if (v->empty() || v->front() != '"') {
-    fail("field \"" + key + "\" is not a string in " + where);
+/// Adds knob `m` as the number field `name`, read back through
+/// CoprocessorKnobs::check.
+template <class T>
+void knob(JsonRecordTable<HeaderRecord>& t, const std::string& name,
+          T CoprocessorKnobs::*m) {
+  t.u64(
+      name, [m](const HeaderRecord& r) { return std::uint64_t{r.*m}; },
+      [name, m](HeaderRecord& r, std::uint64_t v) {
+        r.*m = CoprocessorKnobs::check<T>(name, v);
+      });
+}
+
+// The hwgc-trace-v1 header record, in emission order. The binary header
+// stores the same fields (see kBinaryWidths).
+const JsonRecordTable<HeaderRecord>& header_table() {
+  using R = HeaderRecord;
+  static const JsonRecordTable<R> table = [] {
+    JsonRecordTable<R> t;
+    t.constant("schema", std::string(kTraceSchema))
+        .constant("record", "header")
+        .str("name", [](const R& r) { return sanitize_name(r.name); },
+             [](R& r, std::string v) {
+               if (v.empty()) reject("header name is empty");
+               r.name = std::move(v);
+             })
+        .u64("version", [](const R& r) { return r.version; },
+             [](R& r, std::uint64_t v) { r.version = checked_version(v); })
+        .u64("semispace_words", [](const R& r) { return r.semispace_words; },
+             [](R& r, std::uint64_t v) {
+               // Read as u64, stored as a Word: refuse rather than truncate
+               // to a tiny semispace that fails later with a confusing
+               // object-does-not-fit error.
+               if (v == 0 || v > std::numeric_limits<Word>::max()) {
+                 reject("semispace_words " + std::to_string(v) +
+                        " out of range (1.." +
+                        std::to_string(std::numeric_limits<Word>::max()) +
+                        ")");
+               }
+               r.semispace_words = static_cast<Word>(v);
+             });
+    knob(t, "cores", &CoprocessorKnobs::cores);
+    knob(t, "fifo", &CoprocessorKnobs::header_fifo_capacity);
+    t.str("schedule",
+          [](const R& r) { return std::string(to_string(r.schedule)); },
+          [](R& r, std::string v) {
+            const auto policy = parse_schedule_policy(v);
+            if (!policy) reject("unknown schedule policy '" + v + "'");
+            r.schedule = *policy;
+          });
+    knob(t, "schedule_seed", &CoprocessorKnobs::schedule_seed);
+    knob(t, "jitter", &CoprocessorKnobs::latency_jitter);
+    knob(t, "subobject", &CoprocessorKnobs::subobject_copy);
+    knob(t, "earlyread", &CoprocessorKnobs::markbit_early_read);
+    t.u64("events", &R::events).u64("digest", &R::digest);
+    return t;
+  }();
+  return table;
+}
+
+// The hwgc-trace-v1 op record, in emission order.
+const JsonRecordTable<OpRecord>& op_table() {
+  using R = OpRecord;
+  static const JsonRecordTable<R> table = [] {
+    JsonRecordTable<R> t;
+    t.constant("schema", std::string(kTraceSchema))
+        .constant("record", "op")
+        .u64("seq", [](const R& r) { return r.seq; })
+        .str("k", [](const R& r) { return std::string(to_string(r.kind)); },
+             [](R& r, std::string v) {
+               if (!parse_kind(v, r.kind)) {
+                 reject("unknown event kind '" + v + "'");
+               }
+             })
+        .u64("a", &R::a)
+        .u64("b", &R::b)
+        .u64("c", &R::c);
+    return t;
+  }();
+  return table;
+}
+
+HeaderRecord header_record(const Trace& trace) {
+  return {trace.header, trace.ops.size(), trace.digest()};
+}
+
+/// The header check both loaders and the validator apply: the table pass,
+/// then the knob record's check().
+bool read_header(const JsonKv& kv, HeaderRecord& row, std::string* error) {
+  if (!header_table().read(kv, row, error)) return false;
+  try {
+    row.check();
+  } catch (const std::invalid_argument& e) {
+    return set_error(error, e.what());
   }
-  return unquote(*v);
+  return true;
+}
+
+enum class RecordKind { kHeader, kOp };
+
+/// Reads one parsed line into `header` or `op`. The record-kind constant,
+/// field 1 of both tables, picks the table.
+std::optional<RecordKind> read_record(const JsonKv& kv, HeaderRecord& header,
+                                      OpRecord& op, std::string* error) {
+  const JsonField& kind = header_table().fields()[1];
+  const auto record = req_str(kv, kind.name, error);
+  if (!record) return std::nullopt;
+  if (*record == kind.constant) {
+    if (read_header(kv, header, error)) return RecordKind::kHeader;
+  } else if (*record == op_table().fields()[1].constant) {
+    if (op_table().read(kv, op, error)) return RecordKind::kOp;
+  } else {
+    set_error(error, "unknown \"" + kind.name + "\" type \"" + *record + "\"");
+  }
+  return std::nullopt;
 }
 
 /// Shared tail of both loaders: event count, digest, structure — in that
 /// order, so a truncated stream is named as truncation rather than as the
 /// digest mismatch it would also produce.
-void finish_load(Trace& trace, std::size_t declared_events,
+void finish_load(Trace& trace, std::uint64_t declared_events,
                  std::uint64_t declared_digest) {
   if (trace.ops.size() < declared_events) {
     fail("truncated stream (header declares " +
@@ -429,94 +475,60 @@ void finish_load(Trace& trace, std::size_t declared_events,
 
 }  // namespace
 
+const std::vector<JsonField>& trace_header_fields() {
+  return header_table().fields();
+}
+
+const std::vector<JsonField>& trace_op_fields() { return op_table().fields(); }
+
+std::string trace_to_jsonl(const Trace& trace) {
+  std::string out;
+  header_table().render(header_record(trace), out);
+  for (std::size_t seq = 0; seq < trace.ops.size(); ++seq) {
+    op_table().render({trace.ops[seq], seq}, out);
+  }
+  return out;
+}
+
 Trace trace_from_jsonl(const std::string& text) {
   std::istringstream in(text);
   std::string line;
   Trace trace;
+  HeaderRecord header;
+  OpRecord op;
   bool have_header = false;
-  std::size_t declared_events = 0;
-  std::uint64_t declared_digest = 0;
   std::size_t lineno = 0;
   while (std::getline(in, line)) {
     ++lineno;
     if (line.empty()) continue;
-    std::vector<std::pair<std::string, std::string>> kv;
-    std::string perr;
-    if (!parse_flat_json_object(line, kv, &perr)) {
-      fail("malformed JSONL line " + std::to_string(lineno) + " (" + perr +
+    const std::string where = " at line " + std::to_string(lineno);
+    JsonKv kv;
+    std::string err;
+    if (!parse_flat_json_object(line, kv, &err)) {
+      fail("malformed JSONL line " + std::to_string(lineno) + " (" + err +
            ")");
     }
-    const std::string where = "line " + std::to_string(lineno);
-    const std::string* schema = find_key(kv, "schema");
-    if (schema == nullptr || unquote(*schema) != "hwgc-trace-v1") {
-      fail("line " + std::to_string(lineno) +
-           " does not carry the hwgc-trace-v1 schema");
-    }
-    const std::string record = need_str(kv, "record", where);
-    if (record == "header") {
-      if (have_header) fail("duplicate header at line " + std::to_string(lineno));
-      const std::uint64_t version = need_u64(kv, "version", where);
-      if (version != 1) {
-        fail("unsupported hwgc-trace version " + std::to_string(version) +
-             " (this build reads version 1)");
-      }
-      TraceHeader h;
-      h.name = need_str(kv, "name", where);
-      h.version = 1;
-      h.semispace_words =
-          checked_semispace_words(need_u64(kv, "semispace_words", where));
-      h.cores = static_cast<std::uint32_t>(need_u64(kv, "cores", where));
-      h.header_fifo_capacity =
-          static_cast<std::uint32_t>(need_u64(kv, "fifo", where));
-      const std::string sched = need_str(kv, "schedule", where);
-      const auto policy = parse_schedule_policy(sched);
-      if (!policy) fail("unknown schedule policy '" + sched + "' in " + where);
-      h.schedule = *policy;
-      h.schedule_seed = need_u64(kv, "schedule_seed", where);
-      h.latency_jitter = need_u64(kv, "jitter", where);
-      h.subobject_copy = need_u64(kv, "subobject", where) != 0;
-      h.markbit_early_read = need_u64(kv, "earlyread", where) != 0;
-      declared_events =
-          static_cast<std::size_t>(need_u64(kv, "events", where));
-      declared_digest = need_u64(kv, "digest", where);
-      trace.header = h;
+    const auto kind = read_record(kv, header, op, &err);
+    if (!kind) fail(err + where);
+    if (*kind == RecordKind::kHeader) {
+      if (have_header) fail("duplicate header" + where);
       have_header = true;
       continue;
     }
-    if (record != "op") {
-      fail("unknown record type '" + record + "' at line " +
-           std::to_string(lineno));
-    }
-    if (!have_header) {
-      fail("op record before the header at line " + std::to_string(lineno));
-    }
-    TraceOp op;
-    const std::string kind = need_str(kv, "k", where);
-    if (!parse_kind(kind, op.kind)) {
-      fail("unknown event kind '" + kind + "' at seq " +
-           std::to_string(need_u64(kv, "seq", where)));
-    }
-    op.a = need_u64(kv, "a", where);
-    op.b = need_u64(kv, "b", where);
-    op.c = need_u64(kv, "c", where);
+    if (!have_header) fail("op record before the header" + where);
     trace.ops.push_back(op);
   }
   if (!have_header) fail("truncated stream (no header line)");
-  finish_load(trace, declared_events, declared_digest);
+  trace.header = header;
+  finish_load(trace, header.events, header.digest);
   return trace;
 }
 
 namespace {
 
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out += static_cast<char>(v & 0xffu);
-    v >>= 8;
-  }
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
+/// Appends `v` as `width` little-endian bytes.
+void put_le(std::string& out, std::uint64_t v, std::size_t width) {
+  for (std::size_t i = 0; i < width; ++i) {
     out += static_cast<char>(v & 0xffu);
     v >>= 8;
   }
@@ -532,24 +544,10 @@ struct ByteReader {
            std::to_string(bytes.size()) + ")");
     }
   }
-  std::uint8_t u8() {
-    need(1);
-    return static_cast<std::uint8_t>(bytes[pos++]);
-  }
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(
-               static_cast<std::uint8_t>(bytes[pos++]))
-           << (8 * i);
-    }
-    return v;
-  }
-  std::uint64_t u64() {
-    need(8);
+  std::uint64_t le(std::size_t width) {
+    need(width);
     std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
+    for (std::size_t i = 0; i < width; ++i) {
       v |= static_cast<std::uint64_t>(
                static_cast<std::uint8_t>(bytes[pos++]))
            << (8 * i);
@@ -564,31 +562,51 @@ struct ByteReader {
   }
 };
 
+/// The binary header stores the header table's fields — all but the two
+/// constants — little-endian at these widths, in table order except that
+/// the version (field 1) comes first, so a reader refuses another layout
+/// before parsing it. Width 0 is the name, prefixed by its u32 length; the
+/// other string field, the schedule, is stored as its enum byte.
+constexpr std::size_t kBinaryWidths[] = {0, 4, 8, 4, 4, 1, 8, 8, 1, 1, 8, 8};
+constexpr std::size_t kVersionField = 1;
+constexpr std::size_t kConstantFields = 2;
+
+std::uint64_t number(const std::string& text) {
+  std::uint64_t v = 0;
+  std::from_chars(text.data(), text.data() + text.size(), v);
+  return v;
+}
+
 }  // namespace
 
 std::string trace_to_binary(const Trace& trace) {
-  const TraceHeader& h = trace.header;
-  std::string out;
-  out.append(kMagic, sizeof(kMagic));
-  put_u32(out, h.version);
-  const std::string name = sanitize_name(h.name);
-  put_u32(out, static_cast<std::uint32_t>(name.size()));
-  out += name;
-  put_u64(out, h.semispace_words);
-  put_u32(out, h.cores);
-  put_u32(out, h.header_fifo_capacity);
-  out += static_cast<char>(h.schedule);
-  put_u64(out, h.schedule_seed);
-  put_u64(out, h.latency_jitter);
-  out += static_cast<char>(h.subobject_copy ? 1 : 0);
-  out += static_cast<char>(h.markbit_early_read ? 1 : 0);
-  put_u64(out, trace.ops.size());
-  put_u64(out, trace.digest());
+  std::string line;
+  header_table().render(header_record(trace), line);
+  JsonKv kv;
+  parse_flat_json_object(line, kv, nullptr);
+  const auto value = [&kv](std::size_t field) -> const std::string& {
+    return kv[kConstantFields + field].second;
+  };
+  std::string out(kMagic, sizeof(kMagic));
+  put_le(out, number(value(kVersionField)), kBinaryWidths[kVersionField]);
+  for (std::size_t f = 0; f < std::size(kBinaryWidths); ++f) {
+    const std::string& v = value(f);
+    if (f == kVersionField) continue;
+    if (kBinaryWidths[f] == 0) {
+      put_le(out, v.size() - 2, 4);
+      out.append(v, 1, v.size() - 2);
+    } else if (v.front() == '"') {
+      const auto policy = parse_schedule_policy(v.substr(1, v.size() - 2));
+      put_le(out, static_cast<std::uint8_t>(policy.value()), kBinaryWidths[f]);
+    } else {
+      put_le(out, number(v), kBinaryWidths[f]);
+    }
+  }
   for (const TraceOp& op : trace.ops) {
     out += static_cast<char>(op.kind);
-    put_u64(out, op.a);
-    put_u64(out, op.b);
-    put_u64(out, op.c);
+    put_le(out, op.a, 8);
+    put_le(out, op.b, 8);
+    put_le(out, op.c, 8);
   }
   return out;
 }
@@ -598,49 +616,65 @@ Trace trace_from_binary(const std::string& bytes) {
   if (r.str(sizeof(kMagic)) != std::string(kMagic, sizeof(kMagic))) {
     fail("not an hwgc trace (bad magic)");
   }
-  const std::uint32_t version = r.u32();
-  if (version != 1) {
-    fail("unsupported hwgc-trace version " + std::to_string(version) +
-         " (this build reads version 1)");
+  const std::uint64_t version = r.le(kBinaryWidths[kVersionField]);
+  try {
+    checked_version(version);  // before trusting the layout that follows
+  } catch (const std::invalid_argument& e) {
+    fail(e.what());
   }
+  // Rebuild the header line the JSONL loader would see, then read it
+  // through the same table and checks.
+  const std::vector<JsonField>& fields = header_table().fields();
+  JsonKv kv;
+  for (std::size_t f = 0; f < kConstantFields; ++f) {
+    kv.emplace_back(fields[f].name, "\"" + fields[f].constant + "\"");
+  }
+  for (std::size_t f = 0; f < std::size(kBinaryWidths); ++f) {
+    const JsonField& field = fields[kConstantFields + f];
+    std::string v;
+    if (f == kVersionField) {
+      v = std::to_string(version);
+    } else if (kBinaryWidths[f] == 0) {
+      v = "\"" + r.str(r.le(4)) + "\"";
+    } else {
+      const std::uint64_t raw = r.le(kBinaryWidths[f]);
+      v = std::to_string(raw);
+      if (field.type == JsonType::kString) {
+        // The schedule byte: its policy name, or the number itself for the
+        // table to refuse.
+        const bool known = raw <= static_cast<std::uint64_t>(
+                                      SchedulePolicyKind::kAdversarial);
+        if (known) v = to_string(static_cast<SchedulePolicyKind>(raw));
+        v = "\"" + v + "\"";
+      }
+    }
+    kv.emplace_back(field.name, std::move(v));
+  }
+  HeaderRecord header;
+  std::string err;
+  if (!read_header(kv, header, &err)) fail(err + " in the binary header");
+
   Trace trace;
-  TraceHeader& h = trace.header;
-  h.version = 1;
-  h.name = r.str(r.u32());
-  h.semispace_words = checked_semispace_words(r.u64());
-  h.cores = r.u32();
-  h.header_fifo_capacity = r.u32();
-  const std::uint8_t sched = r.u8();
-  if (sched > static_cast<std::uint8_t>(SchedulePolicyKind::kAdversarial)) {
-    fail("unknown schedule policy byte " + std::to_string(sched));
-  }
-  h.schedule = static_cast<SchedulePolicyKind>(sched);
-  h.schedule_seed = r.u64();
-  h.latency_jitter = r.u64();
-  h.subobject_copy = r.u8() != 0;
-  h.markbit_early_read = r.u8() != 0;
-  const std::uint64_t declared_events = r.u64();
-  const std::uint64_t declared_digest = r.u64();
-  for (std::uint64_t seq = 0; seq < declared_events; ++seq) {
+  trace.header = header;
+  for (std::uint64_t seq = 0; seq < header.events; ++seq) {
     TraceOp op;
-    const std::uint8_t kind = r.u8();
+    const std::uint64_t kind = r.le(1);
     if (kind >= static_cast<std::uint8_t>(TraceOp::Kind::kCount)) {
       fail("unknown event kind " + std::to_string(kind) + " at seq " +
            std::to_string(seq));
     }
     op.kind = static_cast<TraceOp::Kind>(kind);
-    op.a = r.u64();
-    op.b = r.u64();
-    op.c = r.u64();
+    op.a = r.le(8);
+    op.b = r.le(8);
+    op.c = r.le(8);
     trace.ops.push_back(op);
   }
   if (r.pos != bytes.size()) {
     fail("trailing events beyond the declared count (header declares " +
-         std::to_string(declared_events) + " events, stream has " +
+         std::to_string(header.events) + " events, stream has " +
          std::to_string(bytes.size() - r.pos) + " extra bytes)");
   }
-  finish_load(trace, static_cast<std::size_t>(declared_events),
-              declared_digest);
+  finish_load(trace, header.events, header.digest);
   return trace;
 }
 
@@ -669,67 +703,9 @@ Trace load_trace(const std::string& path) {
 bool validate_trace_jsonl_line(const std::string& line, std::string* error) {
   JsonKv kv;
   if (!parse_flat_json_object(line, kv, error)) return false;
-  if (req_str(kv, "schema") != "hwgc-trace-v1") {
-    return set_error(error, "missing or wrong \"schema\"");
-  }
-  const auto record = req_str(kv, "record");
-  if (!record) return set_error(error, "missing \"record\"");
-  if (*record == "header") {
-    const auto name = req_str(kv, "name");
-    if (!name || name->empty()) {
-      return set_error(error, "header: missing \"name\"");
-    }
-    if (req_u64(kv, "version") != 1u) {
-      return set_error(error, "header: \"version\" must be 1");
-    }
-    if (req_u64(kv, "semispace_words").value_or(0) == 0) {
-      return set_error(
-          error, "header: \"semispace_words\" must be a positive number");
-    }
-    if (req_u64(kv, "cores").value_or(0) == 0) {
-      return set_error(error, "header: \"cores\" must be a positive number");
-    }
-    if (!req_u64(kv, "fifo")) {
-      return set_error(error, "header: \"fifo\" must be a number");
-    }
-    const auto sched = req_str(kv, "schedule");
-    if (!sched || !parse_schedule_policy(*sched)) {
-      return set_error(error, "header: unknown \"schedule\" policy");
-    }
-    for (const char* key : {"schedule_seed", "jitter", "events", "digest"}) {
-      if (!req_u64(kv, key)) {
-        return set_error(error, std::string("header: \"") + key +
-                                    "\" must be a number");
-      }
-    }
-    for (const char* key : {"subobject", "earlyread"}) {
-      const auto flag = req_u64(kv, key);
-      if (!flag || *flag > 1) {
-        return set_error(error, std::string("header: \"") + key +
-                                    "\" must be 0 or 1");
-      }
-    }
-    return true;
-  }
-  if (*record == "op") {
-    if (!req_u64(kv, "seq")) {
-      return set_error(error, "op: \"seq\" must be a number");
-    }
-    const auto kind = req_str(kv, "k");
-    TraceOp::Kind k;
-    if (!kind || !parse_kind(*kind, k)) {
-      return set_error(error, "op: unknown event kind \"" +
-                                  kind.value_or("") + "\"");
-    }
-    for (const char* key : {"a", "b", "c"}) {
-      if (!req_u64(kv, key)) {
-        return set_error(error,
-                         std::string("op: \"") + key + "\" must be a number");
-      }
-    }
-    return true;
-  }
-  return set_error(error, "unknown \"record\" type \"" + *record + "\"");
+  HeaderRecord header;
+  OpRecord op;
+  return read_record(kv, header, op, error).has_value();
 }
 
 }  // namespace hwgc

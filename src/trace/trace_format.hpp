@@ -30,6 +30,7 @@
 
 #include "sim/config.hpp"
 #include "sim/types.hpp"
+#include "telemetry/jsonl.hpp"
 
 namespace hwgc {
 
@@ -78,34 +79,15 @@ struct TraceOp {
 
 const char* to_string(TraceOp::Kind k) noexcept;
 
-/// The runtime configuration a trace was recorded under — enough to
-/// reconstruct the exact SimConfig (and heap size) for bit-identical
-/// replay on the coprocessor path.
-struct TraceHeader {
+/// The runtime configuration a trace was recorded under — the knob record
+/// of the coprocessor run (whose sim_config() replays it bit-identically)
+/// plus the heap size.
+struct TraceHeader : CoprocessorKnobs {
   std::string name = "trace";
   std::uint32_t version = 1;
   Word semispace_words = 4096;
-  std::uint32_t cores = 8;
-  std::uint32_t header_fifo_capacity = 32 * 1024;
-  SchedulePolicyKind schedule = SchedulePolicyKind::kFixedPriority;
-  std::uint64_t schedule_seed = 0;
-  Cycle latency_jitter = 0;
-  bool subobject_copy = false;
-  bool markbit_early_read = false;
 
-  /// The coprocessor configuration for replaying this trace (jitter seed
-  /// derived from schedule_seed exactly like the conformance harness).
-  SimConfig sim_config() const;
-
-  friend bool operator==(const TraceHeader& x, const TraceHeader& y) noexcept {
-    return x.name == y.name && x.version == y.version &&
-           x.semispace_words == y.semispace_words && x.cores == y.cores &&
-           x.header_fifo_capacity == y.header_fifo_capacity &&
-           x.schedule == y.schedule && x.schedule_seed == y.schedule_seed &&
-           x.latency_jitter == y.latency_jitter &&
-           x.subobject_copy == y.subobject_copy &&
-           x.markbit_early_read == y.markbit_early_read;
-  }
+  friend bool operator==(const TraceHeader&, const TraceHeader&) = default;
 };
 
 struct Trace {
@@ -166,6 +148,12 @@ constexpr std::string_view kTraceSchema = "hwgc-trace-v1";
 
 /// Schema gate for one hwgc-trace-v1 JSONL line — same contract as
 /// validate_bench_jsonl_line, dispatched by schema from bench_validate.
+/// It reads the line through the same record tables as the loader, so a
+/// line passes exactly when the loader accepts it on its own.
 bool validate_trace_jsonl_line(const std::string& line, std::string* error);
+
+/// The hwgc-trace-v1 header and op record fields, in emission order.
+const std::vector<JsonField>& trace_header_fields();
+const std::vector<JsonField>& trace_op_fields();
 
 }  // namespace hwgc

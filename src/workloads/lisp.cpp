@@ -358,7 +358,8 @@ std::string Lisp::print(Ref v) {
       bool first = true;
       while (!cur.is_null() && tag(cur) == kConsTag) {
         Ref head = car(cur);
-        out += (first ? "" : " ") + print(head);
+        if (!first) out += ' ';
+        out += print(head);
         release(head);
         first = false;
         Ref next = cdr(cur);

@@ -32,7 +32,7 @@ SweepTotals sweep(std::uint32_t cores) {
     g.nodes = 220;  // long enough cycles for the mutator to interleave
     ConformanceCase c;
     c.plan = make_random_plan(seed, g);
-    c.harness.threads = cores;
+    c.harness.cores = cores;
     c.harness.mutator_seed = seed * 31 + cores;
     c.harness.mutator_op_spacing = 1;  // an operation every cycle
     const ConformanceVerdict v = run_conformance_case(CollectorId::kConcurrent, c);
@@ -85,7 +85,7 @@ TEST(Interleavings, MoreCoresShortenThePauseStory) {
     g.nodes = 150;
     ConformanceCase c;
     c.plan = make_random_plan(77, g);
-    c.harness.threads = cores;
+    c.harness.cores = cores;
     c.harness.mutator_op_spacing = 1;
     const ConformanceVerdict v =
         run_conformance_case(CollectorId::kConcurrent, c);

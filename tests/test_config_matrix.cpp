@@ -70,7 +70,8 @@ INSTANTIATE_TEST_SUITE_P(
       name += mc.early_read ? "early_" : "lock_";
       name += mc.subobject ? "stripe_" : "whole_";
       name += mc.header_cache ? "cache_" : "nocache_";
-      name += "c" + std::to_string(mc.cores);
+      name += 'c';
+      name += std::to_string(mc.cores);
       return name;
     });
 

@@ -104,7 +104,7 @@ TEST_P(ConformanceMatrix, CollectorPassesOracle) {
   g.nodes = 120;
   ConformanceCase c;
   c.plan = make_random_plan(p.seed, g);
-  c.harness.threads = p.threads;
+  c.harness.cores = p.threads;
   c.harness.schedule_seed = p.seed;
   c.harness.mutator_seed = p.seed;
   const ConformanceVerdict v = run_conformance_case(p.id, c);

@@ -60,7 +60,7 @@ TEST(ConformanceNegative, ZeroThreadBaselinesThrow) {
                                CollectorId::kPackets, CollectorId::kStealing}) {
     ConformanceCase c;
     c.plan = make_random_plan(5, g);
-    c.harness.threads = 0;
+    c.harness.cores = 0;
     const ConformanceVerdict v = run_conformance_case(id, c);
     EXPECT_FALSE(v.ok) << to_string(id);
     EXPECT_TRUE(has_error(v.errors, std::string(to_string(id)) + " threw: "))

@@ -1,5 +1,6 @@
 // Table-driven schema tests: each JSONL record kind (hwgc-bench-v1,
-// hwgc-service-v1, hwgc-profile-v1 attribution and span) is declared once,
+// hwgc-service-v1, hwgc-profile-v1 attribution and span, hwgc-trace-v1
+// header and op) is declared once,
 // as a field table that drives both its writer and its validator. For a
 // writer-produced line of each kind, every field of the table must be
 // emitted in table order, required (deleting it yields `missing field
@@ -17,6 +18,8 @@
 #include "service/service_metrics.hpp"
 #include "telemetry/jsonl.hpp"
 #include "telemetry/metrics.hpp"
+#include "trace/corpus.hpp"
+#include "trace/trace_format.hpp"
 
 namespace hwgc {
 namespace {
@@ -116,6 +119,16 @@ TEST(JsonlSchema, SpanTableDrivesWriterAndValidator) {
   expect_table_drives_validator(first_line(span_record_jsonl(gc, "t")),
                                 span_record_fields(),
                                 &validate_profile_jsonl_line);
+}
+
+TEST(JsonlSchema, TraceTablesDriveWriterAndValidator) {
+  const std::string jsonl =
+      trace_to_jsonl(trace_from_benchmark(BenchmarkId::kJlisp));
+  const std::string ops = jsonl.substr(jsonl.find('\n') + 1);
+  expect_table_drives_validator(first_line(jsonl), trace_header_fields(),
+                                &validate_trace_jsonl_line);
+  expect_table_drives_validator(first_line(ops), trace_op_fields(),
+                                &validate_trace_jsonl_line);
 }
 
 std::set<std::string> names_with_prefix(const std::vector<JsonField>& fields,

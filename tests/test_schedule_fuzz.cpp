@@ -2,10 +2,10 @@
 //
 // The parameterized suite runs a fixed (graph × schedule × core-count)
 // matrix — 13 graph seeds × 4 schedule policies × 4 core counts = 208
-// configurations, each through the full differential oracle of
-// src/fuzz/oracle.hpp (coprocessor vs sequential Cheney, snapshot
-// verifier, forwarding-map bijectivity, tospace image cross-compare,
-// lock-order audit, single-evacuation counters). FIFO capacity, latency
+// configurations, each through the conformance oracle as a coprocessor
+// case (snapshot verifier, forwarding-map bijectivity, dense tiling,
+// tospace image cross-compare against sequential Cheney, lock-order
+// audit, single-evacuation counters, idempotent re-collection). FIFO capacity, latency
 // jitter and the optional collector features vary with the graph seed so
 // the matrix also exercises backpressure and sub-object copying.
 #include <gtest/gtest.h>
@@ -21,7 +21,7 @@
 #include "core/schedule_policy.hpp"
 #include "core/sync_block.hpp"
 #include "fuzz/fuzz_graph.hpp"
-#include "fuzz/oracle.hpp"
+#include "fuzz/fuzz_case.hpp"
 #include "sim/config.hpp"
 #include "sim/flags.hpp"
 #include "workloads/benchmarks.hpp"
@@ -142,12 +142,12 @@ TEST(ScheduleTrace, RingKeepsOnlyTheTail) {
 TEST(FuzzCase, OracleRunIsDeterministic) {
   FuzzCase fc = case_from_seed(17);
   fc.schedule = SchedulePolicyKind::kRandom;
-  const FuzzVerdict a = run_fuzz_case(fc);
-  const FuzzVerdict b = run_fuzz_case(fc);
+  const ConformanceVerdict a = run_fuzz_case(fc);
+  const ConformanceVerdict b = run_fuzz_case(fc);
   ASSERT_TRUE(a.ok) << a.summary();
-  EXPECT_EQ(a.coproc.total_cycles, b.coproc.total_cycles);
-  EXPECT_EQ(a.coproc.words_copied, b.coproc.words_copied);
-  EXPECT_EQ(a.coproc.mem_requests, b.coproc.mem_requests);
+  EXPECT_EQ(a.report.coproc->total_cycles, b.report.coproc->total_cycles);
+  EXPECT_EQ(a.report.coproc->words_copied, b.report.coproc->words_copied);
+  EXPECT_EQ(a.report.coproc->mem_requests, b.report.coproc->mem_requests);
   EXPECT_EQ(a.live_objects, b.live_objects);
 }
 
@@ -204,7 +204,7 @@ void expect_same_case(const FuzzCase& a, const FuzzCase& b,
   EXPECT_EQ(a.graph_seed, b.graph_seed) << line;
   EXPECT_EQ(a.schedule, b.schedule) << line;
   EXPECT_EQ(a.schedule_seed, b.schedule_seed) << line;
-  EXPECT_EQ(a.num_cores, b.num_cores) << line;
+  EXPECT_EQ(a.cores, b.cores) << line;
   EXPECT_EQ(a.header_fifo_capacity, b.header_fifo_capacity) << line;
   EXPECT_EQ(a.latency_jitter, b.latency_jitter) << line;
   EXPECT_EQ(a.subobject_copy, b.subobject_copy) << line;
@@ -282,7 +282,7 @@ TEST(FuzzCase, SummaryKeepsTheReproducerLayout) {
   FuzzCase fc;
   fc.graph_seed = 9;
   fc.schedule = SchedulePolicyKind::kAdversarial;
-  fc.num_cores = 3;
+  fc.cores = 3;
   fc.subobject_copy = true;
   fc.fault.events = 2;
   fc.fault.seed = 5;
@@ -316,7 +316,7 @@ TEST_P(ScheduleFuzzMatrix, DifferentialOracle) {
   fc.graph_seed = seed * 0x9e3779b97f4a7c15ULL + 1;
   fc.schedule = schedule;
   fc.schedule_seed = seed ^ 0xfeedULL;
-  fc.num_cores = cores;
+  fc.cores = cores;
   // Vary the hardware knobs with the seed so the matrix also covers FIFO
   // backpressure, out-of-order retirement and the optional features.
   fc.header_fifo_capacity = (seed % 3 == 0) ? 8u : 32u * 1024u;
@@ -327,7 +327,7 @@ TEST_P(ScheduleFuzzMatrix, DifferentialOracle) {
   fc.graph.max_nodes = 96;
   fc.graph.max_delta = 10;
 
-  const FuzzVerdict v = run_fuzz_case(fc);
+  const ConformanceVerdict v = run_fuzz_case(fc);
   EXPECT_TRUE(v.ok) << v.summary() << "\nrepro: fuzz_gc " << fc.summary();
 }
 

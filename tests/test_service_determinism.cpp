@@ -81,8 +81,8 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, ServiceDeterminism,
                          ::testing::Values(GcSchedulerKind::kReactive,
                                            GcSchedulerKind::kProactive,
                                            GcSchedulerKind::kRoundRobin),
-                         [](const auto& info) {
-                           return std::string(to_string(info.param));
+                         [](const auto& param_info) {
+                           return std::string(to_string(param_info.param));
                          });
 
 }  // namespace

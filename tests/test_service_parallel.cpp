@@ -100,9 +100,9 @@ INSTANTIATE_TEST_SUITE_P(
                                          GcSchedulerKind::kProactive,
                                          GcSchedulerKind::kRoundRobin),
                        ::testing::Values(1u, 2u, 3u)),
-    [](const auto& info) {
-      return std::string(to_string(std::get<0>(info.param))) + "_seed" +
-             std::to_string(std::get<1>(info.param));
+    [](const auto& param_info) {
+      return std::string(to_string(std::get<0>(param_info.param))) + "_seed" +
+             std::to_string(std::get<1>(param_info.param));
     });
 
 TEST(ServiceParallelModes, ClosedLoopMatchesSerial) {

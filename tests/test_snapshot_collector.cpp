@@ -98,7 +98,7 @@ TEST(SnapshotCollector, SurvivesTortureAgitationAcrossSeeds) {
   for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
     ConformanceCase c;
     c.plan = small_plan(seed);
-    c.harness.threads = 4;
+    c.harness.cores = 4;
     c.harness.mutator_threads = 3;
     c.harness.mutator_seed = seed * 31 + 1;
     c.harness.torture.seed = seed * 2654435761ULL + 17;
@@ -111,7 +111,7 @@ TEST(SnapshotCollector, SurvivesTortureAgitationAcrossSeeds) {
 
 TEST(SnapshotCollector, HarnessAdapterCarriesSnapshotPayload) {
   HarnessConfig hc;
-  hc.threads = 2;
+  hc.cores = 2;
   Workload w = materialize(small_plan(3), 3.0);
   const CycleReport r =
       make_harness(CollectorId::kSnapshot, hc)->collect(*w.heap);

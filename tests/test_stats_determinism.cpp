@@ -24,7 +24,7 @@ CycleReport run_once(CollectorId id, std::uint32_t threads,
   const GraphPlan plan = make_random_plan(kGraphSeed, g);
   Workload w = materialize(plan, 4.0);  // headroom for the LAB collectors
   HarnessConfig cfg;
-  cfg.threads = threads;
+  cfg.cores = threads;
   cfg.schedule_seed = 7;
   cfg.mutator_seed = 7;
   if (torture) cfg.torture.seed = 0xdecafbad;

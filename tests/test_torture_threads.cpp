@@ -36,7 +36,7 @@ TEST_P(TortureSweep, PerturbedScheduleStillConforms) {
   g.nodes = 64;  // small graphs maximize the racy fraction of the cycle
   ConformanceCase c;
   c.plan = make_random_plan(p.seed, g);
-  c.harness.threads = p.threads;
+  c.harness.cores = p.threads;
   c.harness.torture.seed = p.seed * 2654435761u + p.threads;
   c.harness.torture.yield_period = 3;  // aggressive preemption chaos
   const ConformanceVerdict v = run_conformance_case(p.id, c);
@@ -70,7 +70,7 @@ TEST(Torture, AgitatorOffIsANoOp) {
   g.nodes = 50;
   const GraphPlan plan = make_random_plan(7, g);
   HarnessConfig with, without;
-  with.threads = without.threads = 1;
+  with.cores = without.cores = 1;
   with.torture.seed = 0;
   Workload a = materialize(plan, 2.0);
   Workload b = materialize(plan, 2.0);

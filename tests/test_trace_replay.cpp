@@ -9,8 +9,9 @@
 //      (JSONL and binary), and the replay's per-cycle GcCycleStats and
 //      SignalTrace streams are bit-identical to the recording run's.
 //   3. Loader robustness: truncation, digest mismatch, unknown event kind,
-//      out-of-range ids and version skew each fail with a message-specific
-//      TraceError before any Runtime is constructed.
+//      out-of-range ids, version skew and hostile header values each fail
+//      with a message-specific TraceError before any Runtime is
+//      constructed, and the schema validator refuses the same headers.
 //   4. The service bridge: trace-per-session heapd runs are byte-identical
 //      between the serial conductor and the shard pool, and the config
 //      validation rejects the resilience/trace combination.
@@ -391,12 +392,95 @@ TEST(TraceLoader, VersionSkewFails) {
 
 TEST(TraceLoader, BinaryBadMagicFails) {
   std::string bin = trace_to_binary(tiny_trace());
-  bin[0] ^= 0xff;
+  bin[0] = static_cast<char>(~bin[0]);
   try {
     trace_from_binary(bin);
     FAIL() << "expected TraceError";
   } catch (const TraceError& e) {
     EXPECT_NE(std::string(e.what()).find("bad magic"), std::string::npos);
+  }
+}
+
+// Hostile header values: each row edits one field of the committed churn
+// trace's header. The JSONL loader and the schema validator read the same
+// record table, so both must refuse the line, and the loader's TraceError
+// must name the field. Rows whose value fits the binary header's field
+// width are also patched into the binary serialization.
+struct BadHeaderRow {
+  std::string field;
+  std::string value;   ///< JSONL text of the value
+  int binary_offset;   ///< byte offset past the name; -1: not expressible
+  std::uint64_t binary_value;
+};
+
+// Binary header layout after magic, version, name length and name.
+constexpr int kSemispaceAt = 0, kCoresAt = 8, kFifoAt = 12, kScheduleAt = 16,
+              kSubobjectAt = 33, kEarlyreadAt = 34;
+
+const BadHeaderRow kBadHeaders[] = {
+    {"cores", "4294967297", -1, 0},  // used to load as cores=1
+    {"fifo", "4294967296", -1, 0},   // used to load as fifo=0
+    {"cores", "0", kCoresAt, 0},
+    {"subobject", "7", kSubobjectAt, 7},
+    {"earlyread", "2", kEarlyreadAt, 2},
+    {"cores", "400000000", kCoresAt, 400000000},  // used to die of bad_alloc
+    {"cores", "65", kCoresAt, 65},
+    {"jitter", "18446744073709551616", -1, 0},
+    {"schedule", "\"bogus\"", kScheduleAt, 9},
+    {"semispace_words", "0", kSemispaceAt, 0},
+    {"name", "\"\"", -1, 0},
+    {"version", "2", -1, 0},
+};
+
+std::string replace_field(std::string line, const std::string& field,
+                          const std::string& value) {
+  const std::string key = "\"" + field + "\":";
+  const auto pos = line.find(key);
+  EXPECT_NE(pos, std::string::npos) << field;
+  const auto start = pos + key.size();
+  const auto end = line.find_first_of(",}", start);
+  return line.replace(start, end - start, value);
+}
+
+template <class Load>
+void expect_trace_error_naming(Load load, const std::string& field) {
+  try {
+    load();
+    ADD_FAILURE() << "expected a TraceError naming " << field;
+  } catch (const TraceError& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(TraceLoader, HostileHeaderValuesFailInBothLoadersAndTheValidator) {
+  const Trace churn = load_trace(std::string(HWGC_TRACE_DIR) + "/churn.jsonl");
+  const std::string jsonl = trace_to_jsonl(churn);
+  const std::string header = jsonl.substr(0, jsonl.find('\n'));
+  const std::string ops = jsonl.substr(header.size());
+  std::string err;
+  ASSERT_TRUE(validate_trace_jsonl_line(header, &err)) << err;
+  const std::string binary = trace_to_binary(churn);
+  const std::size_t past_name = 16 + churn.header.name.size();
+
+  for (const BadHeaderRow& row : kBadHeaders) {
+    SCOPED_TRACE(row.field + "=" + row.value);
+    const std::string bad = replace_field(header, row.field, row.value);
+    EXPECT_FALSE(validate_trace_jsonl_line(bad, &err));
+    EXPECT_NE(err.find(row.field), std::string::npos) << err;
+    expect_trace_error_naming([&] { trace_from_jsonl(bad + ops); },
+                              row.field);
+    if (row.binary_offset < 0) continue;
+    std::string bin = binary;
+    std::uint64_t v = row.binary_value;
+    const std::size_t width = row.field == "semispace_words" ? 8
+                              : row.field == "cores"         ? 4
+                                                             : 1;
+    for (std::size_t i = 0; i < width; ++i, v >>= 8) {
+      bin[past_name + static_cast<std::size_t>(row.binary_offset) + i] =
+          static_cast<char>(v & 0xffu);
+    }
+    expect_trace_error_naming([&] { trace_from_binary(bin); }, row.field);
   }
 }
 
@@ -410,7 +494,7 @@ TEST(TraceLoader, JsonlBinaryRoundTripAgree) {
 
 TEST(TraceFuzzBridge, EmittedTraceReproducesTheOracleVerdict) {
   const FuzzCase fc = case_from_seed(0xBEEF);
-  const FuzzVerdict verdict = run_fuzz_case(fc);
+  const ConformanceVerdict verdict = run_fuzz_case(fc);
 
   const Trace trace = trace_from_fuzz_case(fc);
   ReplayConfig cfg;
