@@ -58,6 +58,7 @@ inline Options parse_options(int argc, char** argv) {
               "emit per-configuration stall attribution as\n"
               "hwgc-profile-v1 JSONL (default BENCH_<suite>_profile.json)");
   t.parse(argc, argv);
+  if (const auto e = scale_error(opt.scale); !e.empty()) t.fail("--scale " + e);
   return opt;
 }
 
@@ -73,8 +74,7 @@ inline GcCycleStats run_collection(BenchmarkId id, const Options& opt,
   Coprocessor coproc(cfg, *w.heap);
   if (profile == nullptr) return coproc.collect();
   CycleProfiler profiler;
-  const GcCycleStats stats =
-      coproc.collect(nullptr, nullptr, nullptr, nullptr, &profiler);
+  const GcCycleStats stats = coproc.collect(&profiler);
   *profile = profiler.take_profile();
   return stats;
 }

@@ -217,7 +217,7 @@ int main(int argc, char** argv) {
     hwgc::TelemetryBus bus;
     const hwgc::RecoveryReport r =
         hwgc::RecoveringCollector(c.harness.coprocessor_config(), *w.heap)
-            .collect(nullptr, &bus);
+            .collect(&bus);
     if (!hwgc::write_chrome_trace(bus, opt.trace_json)) {
       std::cerr << "error: failed to write " << opt.trace_json << "\n";
       return 1;

@@ -77,7 +77,7 @@ void print_failure(const hwgc::FuzzCase& fc,
   hwgc::Workload w = hwgc::materialize(fc.conformance_case().plan);
   hwgc::ScheduleTrace sched(64);
   try {
-    hwgc::Coprocessor(fc.sim_config(), *w.heap).collect(nullptr, &sched);
+    hwgc::Coprocessor(fc.sim_config(), *w.heap).collect(&sched);
   } catch (const std::exception&) {
     // The oracle already reported the throw; the tail leads up to it.
   }

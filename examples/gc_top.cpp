@@ -370,7 +370,7 @@ int run_service_mode(const CliOptions& o) {
   HeapService service(cfg);
 
   TelemetryBus bus;
-  if (!o.trace_json.empty()) service.set_telemetry(&bus);
+  if (!o.trace_json.empty()) service.set_cycle_observer(&bus);
 
   for (std::uint32_t frame = 1; frame <= o.collections; ++frame) {
     service.serve(o.every);
@@ -426,7 +426,7 @@ int main(int argc, char** argv) {
   if (o.profile) rt.enable_profiling();
 
   TelemetryBus bus;
-  if (!o.trace_json.empty()) rt.set_telemetry(&bus);
+  if (!o.trace_json.empty()) rt.set_cycle_observer(&bus);
 
   ShadowMutator::Config mcfg;
   mcfg.seed = o.seed;

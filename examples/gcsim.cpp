@@ -96,12 +96,7 @@ CliOptions parse(int argc, char** argv) {
       .metavar("PATH");
   t.parse(argc, argv);
   if (o.sim.coprocessor.num_cores == 0) t.fail("--cores must be >= 1");
-  // Checked before anything is built: the live set, and with it the heap,
-  // grows linearly with the scale (javac at scale 4 peaks near 230 MiB).
-  constexpr int kMaxScale = 32;
-  if (!(o.scale > 0.0 && o.scale <= kMaxScale)) {
-    t.fail("--scale must be in (0, " + std::to_string(kMaxScale) + "]");
-  }
+  if (const auto e = scale_error(o.scale); !e.empty()) t.fail("--scale " + e);
   return o;
 }
 
@@ -210,9 +205,11 @@ int main(int argc, char** argv) {
   SignalTrace signals;
   CycleProfiler profiler;
   const bool tracing = !o.trace_json.empty();
-  const GcCycleStats s =
-      coproc.collect(tracing ? &signals : nullptr, nullptr, nullptr,
-                     tracing ? &bus : nullptr, o.profile ? &profiler : nullptr);
+  ObserverFanout observers;
+  observers.add(tracing ? &signals : nullptr);
+  observers.add(tracing ? &bus : nullptr);
+  observers.add(o.profile ? &profiler : nullptr);
+  const GcCycleStats s = coproc.collect(observers.target());
   print_report(o, s);
   if (o.profile) {
     const CycleProfile p = profiler.take_profile();

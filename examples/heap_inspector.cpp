@@ -12,6 +12,7 @@
 #include "heap/object_model.hpp"
 #include "heap/verifier.hpp"
 #include "sim/flags.hpp"
+#include "sim/trace.hpp"
 #include "workloads/benchmarks.hpp"
 
 int main(int argc, char** argv) {
@@ -20,7 +21,7 @@ int main(int argc, char** argv) {
   Flags t("heap_inspector", "dumps the tricolor life of one collection cycle");
   t.value("scale", scale, "live-set scale factor of the jlisp workload");
   t.parse(argc, argv);
-  if (!(scale > 0.0)) t.fail("scale must be > 0");
+  if (const auto e = scale_error(scale); !e.empty()) t.fail("scale " + e);
 
   Workload w = make_benchmark(BenchmarkId::kJlisp, scale);
   Heap& heap = *w.heap;

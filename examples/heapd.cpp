@@ -272,7 +272,7 @@ bool run_config(const Options& o, const ServiceConfig& cfg,
                 std::string& service_jsonl, std::string& profile_jsonl,
                 std::vector<RequestExemplar>* flame_out, TelemetryBus* bus) {
   HeapService service(cfg);
-  if (bus != nullptr) service.set_telemetry(bus);
+  if (bus != nullptr) service.set_cycle_observer(bus);
   service.serve(o.requests);
 
   const SloStats fleet = service.fleet_stats();

@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
               "also write the sweep as hwgc-bench-v1 JSONL\n"
               "(default path BENCH_scaling_study.json)");
   t.parse(argc, argv);
-  if (!(scale > 0.0)) t.fail("scale must be > 0");
+  if (const auto e = scale_error(scale); !e.empty()) t.fail("scale " + e);
 
   std::printf("workload: %s (scale %.3g)\n",
               std::string(benchmark_name(bench)).c_str(), scale);

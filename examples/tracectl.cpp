@@ -61,6 +61,7 @@ int cmd_record(int argc, char** argv) {
   t.value("--range", range_n, "lisp range length");
   t.parse(argc, argv);
   if (out.empty()) t.fail("needs --out FILE");
+  if (const auto e = scale_error(scale); !e.empty()) t.fail("--scale " + e);
 
   Trace trace;
   if (t.seen("--benchmark")) {

@@ -10,46 +10,20 @@
 #include "mem/header_fifo.hpp"
 #include "mem/memory_system.hpp"
 #include "sim/abort.hpp"
-#include "telemetry/telemetry_bus.hpp"
+#include "sim/observer.hpp"
 
 namespace hwgc {
 
-GcCycleStats Coprocessor::collect(SignalTrace* trace,
-                                  ScheduleTrace* schedule_trace,
-                                  FaultInjector* fault,
-                                  TelemetryBus* telemetry,
-                                  CycleProfiler* profiler) {
+GcCycleStats Coprocessor::collect(CycleObserver* obs, FaultInjector* fault) {
   const std::uint32_t n = cfg_.coprocessor.num_cores;
   if (n == 0) throw std::invalid_argument("coprocessor needs >= 1 core");
 
-  SyncBlock sb(n, fault);
-  MemorySystem mem(cfg_.memory, n, fault);
-  HeaderFifo fifo(cfg_.coprocessor.header_fifo_capacity);
-  GcContext ctx{sb, mem, fifo, heap_, cfg_.coprocessor, telemetry, profiler};
-  // A fresh attribution per attempt: an aborted attempt's partial profile
-  // is wiped by the next begin_collection, so only the attempt that
-  // completes survives in the profiler.
-  if (profiler != nullptr) profiler->begin_collection(n);
-
-  std::uint32_t sig_graywords_series = 0;
-  if (telemetry != nullptr) {
-    if (!telemetry->enabled()) telemetry->enable();
-    telemetry->begin_collection("collection (" + std::to_string(n) +
-                                " cores)");
-    // Intern the main tracks in canonical order so exports list the
-    // coprocessor first, then the cores, then the shared locks —
-    // independent of which module happens to publish first.
-    (void)telemetry->track("coprocessor");
-    for (CoreId id = 0; id < n; ++id) (void)telemetry->core_track(id);
-    (void)telemetry->track(to_string(SbLock::kScan));
-    (void)telemetry->track(to_string(SbLock::kFree));
-    sig_graywords_series = telemetry->counter_series("gray_words");
-    sb.attach_telemetry(telemetry);
-    fifo.attach_telemetry(telemetry);
-    mem.attach_telemetry(telemetry);
-    telemetry->begin_cycle(0);
-    telemetry->phase(GcPhase::kRootEvacuation);
-  }
+  if (fault != nullptr) fault->attach_observer(obs);
+  SyncBlock sb(n, fault, obs);
+  MemorySystem mem(cfg_.memory, n, fault, obs);
+  HeaderFifo fifo(cfg_.coprocessor.header_fifo_capacity, obs);
+  GcContext ctx{sb, mem, fifo, heap_, cfg_.coprocessor, obs};
+  if (obs != nullptr) obs->on_collection_begin(n);
 
   const Addr tospace_base = heap_.layout().tospace_base();
   sb.set_scan(tospace_base);
@@ -74,18 +48,6 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
   Cycle now = 0;
   const std::uint64_t start_gen = sb.barrier_generation();
 
-  // Monitoring framework (Section VI-A): sample on change only, so the
-  // ring stays useful for long cycles.
-  std::uint16_t sig_scan = 0, sig_free = 0, sig_gray = 0, sig_busy = 0;
-  std::uint64_t prev_scan = ~0ULL, prev_free = ~0ULL, prev_busy = ~0ULL;
-  if (trace != nullptr) {
-    sig_scan = trace->register_signal("scan");
-    sig_free = trace->register_signal("free");
-    sig_gray = trace->register_signal("gray_words");
-    sig_busy = trace->register_signal("busy_cores");
-    if (!trace->enabled()) trace->enable();
-  }
-
   // Done bookkeeping: kDone is absorbing, so a per-core flag plus a count
   // replaces the every-cycle all-cores scan and lets the step loop skip
   // finished cores entirely.
@@ -104,8 +66,27 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
 
   bool cores_halted = false;
   Cycle halted_at = 0;
-  bool tel_in_scan_phase = false;
-  std::uint64_t tel_prev_gray = ~0ULL;
+
+  // The observer's view of the current cycle, from pure reads only: a
+  // stuck-at-1 busy bit counts once latched, and reading it here never
+  // fires the fault (only the hardware's own consults do).
+  const auto view = [&](bool draining) {
+    CycleView v;
+    v.now = now;
+    v.draining = draining;
+    v.phase = cores_halted                          ? GcPhase::kDrain
+              : sb.barrier_generation() > start_gen ? GcPhase::kParallelScan
+                                                    : GcPhase::kRootEvacuation;
+    v.scan = sb.scan();
+    v.free = sb.free();
+    for (CoreId c = 0; c < n; ++c) {
+      const bool busy =
+          sb.busy_raw(c) || (fault != nullptr && fault->stuck_busy_steady(c));
+      v.busy_cores += busy ? 1u : 0u;
+    }
+    v.step_order = step_order;
+    return v;
+  };
 
   // Watchdog expiry (shared by the ticked path and the fast-forward jump
   // to the budget boundary). Localize a suspect before aborting. First
@@ -145,14 +126,11 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
   // next event (memory completion, fault boundary or watchdog budget)
   // instead of ticking, and apply the skipped cycles' counter increments
   // in bulk. Restricted to the fixed-priority schedule (the other policies
-  // mutate per-cycle state in order()) and to runs without a telemetry bus
-  // (the bus records per-cycle activity). SignalTrace and ScheduleTrace
-  // stay bit-identical: no traced signal changes during a quiescent window
-  // and the schedule ring is replayed via record_repeated().
-  const bool ff_active =
-      cfg_.coprocessor.fast_forward && telemetry == nullptr && fixed_order;
+  // mutate per-cycle state in order()) and to observers that absorb whole
+  // windows.
+  const bool ff_active = cfg_.coprocessor.fast_forward && fixed_order &&
+                         (obs == nullptr || obs->absorbs_windows());
   std::vector<GcCore::FfPoll> ff_class(n);
-  std::vector<StallClass> ff_prof_cls(profiler != nullptr ? n : 0);
   const auto try_fast_forward = [&]() -> Cycle {
     // Memory gate: nothing acceptable queued, no completion due this cycle.
     if (!mem.ff_quiescent()) return 0;
@@ -220,7 +198,8 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
       }
     }
 
-    // Commit the jump: apply k skipped cycles' effects in bulk.
+    // Commit the jump: apply k skipped cycles' effects in bulk (each
+    // absorbing core publishes its constant class once for the window).
     const Cycle k = target - now;
     if (!cores_halted) {
       for (CoreId c = 0; c < n; ++c) {
@@ -240,31 +219,8 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
       if (sb.barrier_generation() > start_gen && sb.worklist_empty()) {
         stats.worklist_empty_cycles += k;
       }
-      if (schedule_trace != nullptr) {
-        schedule_trace->record_repeated(now, k, step_order);
-      }
-      if (profiler != nullptr) {
-        // The per-core classes are constant across the quiescent window,
-        // so absorbing k copies of this snapshot reproduces the ticked
-        // run's attribution (and its binding stream) exactly.
-        for (CoreId c = 0; c < n; ++c) {
-          switch (ff_class[c].kind) {
-            case GcCore::FfPoll::Kind::kStall:
-              ff_prof_cls[c] = class_of(ff_class[c].reason);
-              break;
-            case GcCore::FfPoll::Kind::kIdle:
-              ff_prof_cls[c] = StallClass::kWorklistStarved;
-              break;
-            default:  // kSkip: done core misses its clock
-              ff_prof_cls[c] = StallClass::kIdleDeconfigured;
-              break;
-          }
-        }
-        profiler->absorb(ff_prof_cls, k);
-      }
-    } else if (profiler != nullptr) {
-      profiler->absorb_drain(k);
     }
+    if (obs != nullptr) obs->on_window(view(cores_halted), k);
     return k;
   };
 
@@ -283,13 +239,13 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
         }
       }
     }
-    if (telemetry != nullptr) telemetry->begin_cycle(now);
+    if (obs != nullptr) obs->on_cycle_begin(now);
     if (fault != nullptr) fault->begin_clock(now);
     mem.tick(now);
+    const bool draining = cores_halted;
     if (!cores_halted) {
       sb.begin_cycle();
       if (!fixed_order) policy->order(now, sb, step_order);
-      if (schedule_trace != nullptr) schedule_trace->record(now, step_order);
       for (CoreId c : step_order) {
         if (fault != nullptr) {
           // Consulted for every core, finished ones included: the fate
@@ -312,48 +268,14 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
       }
       cores_halted = done_count == n;
       if (cores_halted) halted_at = now;
-      if (telemetry != nullptr) {
-        if (!tel_in_scan_phase && sb.barrier_generation() > start_gen) {
-          tel_in_scan_phase = true;
-          telemetry->phase(GcPhase::kParallelScan);
-        }
-        if (cores_halted) telemetry->phase(GcPhase::kDrain);
-        const std::uint64_t gray = sb.free() - sb.scan();
-        if (gray != tel_prev_gray) {
-          tel_prev_gray = gray;
-          telemetry->counter_sample(sig_graywords_series, gray);
-        }
-      }
       // Table I: cycles during which the worklist is empty. Counted over
       // the parallel scan phase (after the start barrier released).
       if (!cores_halted && sb.barrier_generation() > start_gen &&
           sb.worklist_empty()) {
         ++stats.worklist_empty_cycles;
       }
-      if (trace != nullptr) {
-        if (sb.scan() != prev_scan) {
-          prev_scan = sb.scan();
-          trace->sample(now, sig_scan, prev_scan);
-        }
-        if (sb.free() != prev_free) {
-          prev_free = sb.free();
-          trace->sample(now, sig_free, prev_free);
-          trace->sample(now, sig_gray, sb.free() - sb.scan());
-        }
-        std::uint64_t busy = 0;
-        for (CoreId c = 0; c < n; ++c) busy += sb.busy(c) ? 1 : 0;
-        if (busy != prev_busy) {
-          prev_busy = busy;
-          trace->sample(now, sig_busy, busy);
-        }
-      }
-      // Fold this cycle's per-core records (cores that missed their clock
-      // — fail-stopped or already done — fold as idle-deconfigured) and
-      // commit the cycle's binding class to the critical path.
-      if (profiler != nullptr) profiler->end_cycle();
-    } else if (profiler != nullptr) {
-      profiler->drain_cycle();  // cores halted, store-drain window
     }
+    if (obs != nullptr) obs->on_cycle_end(view(draining));
     ++now;
     if (cores_halted && (mem.stores_drained() ||
                          cfg_.coprocessor.skip_store_drain_for_test)) {
@@ -362,15 +284,9 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
     if (now >= cfg_.coprocessor.watchdog_cycles) watchdog_abort();
   }
   } catch (const CollectionAbort& abort) {
-    // Close the telemetry epoch before propagating so the aborted attempt
+    // Close the observation before propagating so the aborted attempt
     // still renders as a complete, labeled slice of the timeline.
-    if (telemetry != nullptr) {
-      telemetry->instant(telemetry->track("coprocessor"),
-                         TelemetryCategory::kFault,
-                         std::string("abort [") + to_string(abort.reason()) +
-                             "]: " + abort.what());
-      telemetry->end_collection(now);
-    }
+    if (obs != nullptr) obs->on_collection_end(now, &abort);
     throw;
   }
 
@@ -378,14 +294,8 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
   const Addr free_final = sb.free();
   heap_.flip();
   heap_.set_alloc_ptr(free_final);
-  if (telemetry != nullptr) {
-    telemetry->begin_cycle(now);
-    telemetry->instant(telemetry->track("coprocessor"),
-                       TelemetryCategory::kPhase, "flip");
-    telemetry->end_collection(now);
-  }
+  if (obs != nullptr) obs->on_collection_end(now, nullptr);
 
-  if (profiler != nullptr) profiler->end_collection();
   stats.total_cycles = now;
   stats.drain_cycles = now - halted_at;
   stats.restart_stores_drained = mem.stores_drained();

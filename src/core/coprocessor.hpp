@@ -21,15 +21,12 @@
 #include "heap/heap.hpp"
 #include "sim/config.hpp"
 #include "sim/counters.hpp"
-#include "sim/trace.hpp"
 #include "sim/types.hpp"
 
 namespace hwgc {
 
-class ScheduleTrace;
+class CycleObserver;
 class FaultInjector;
-class TelemetryBus;
-class CycleProfiler;
 
 class Coprocessor {
  public:
@@ -48,39 +45,24 @@ class Coprocessor {
   /// under injection the recovery layer (src/fault/recovery.hpp) catches
   /// the abort and retries.
   ///
-  /// If `trace` is non-null, the scan pointer, free pointer, gray-object
-  /// word count and busy-core count are sampled on change every cycle —
-  /// the software counterpart of the prototype's 32-signal FPGA monitor
-  /// (Section VI-A).
-  ///
   /// Cores are stepped each cycle in the order produced by the configured
   /// SchedulePolicy (cfg.coprocessor.schedule; fixed index order — the
-  /// prototype's static prioritization — by default). If `schedule_trace`
-  /// is non-null the most recent step orders are recorded there, so a
-  /// failing fuzz case can print the interleaving that broke it.
+  /// prototype's static prioritization — by default).
+  ///
+  /// `obs`, when non-null, is the cycle's one observation seam
+  /// (sim/observer.hpp): every module built for the cycle publishes to it
+  /// — SignalTrace, ScheduleTrace, TelemetryBus and CycleProfiler are the
+  /// recorders; ObserverFanout attaches several. Pure observation:
+  /// simulated cycle counts are identical with and without it. Quiescent
+  /// windows are fast-forwarded only while obs is null or
+  /// obs->absorbs_windows().
   ///
   /// `fault`, when non-null, is threaded through to the SyncBlock and the
   /// memory scheduler and consulted for each core's fate every cycle; the
   /// caller (normally RecoveringCollector) must have called begin_attempt.
-  ///
-  /// `telemetry`, when non-null, receives the full typed event stream of
-  /// the cycle (phases, per-core activity spans, lock holds, FIFO and
-  /// memory counters, the flip) as one bus epoch; on a CollectionAbort the
-  /// epoch is closed with an abort instant before the exception propagates.
-  /// Pure observation: simulated cycle counts are identical with and
-  /// without a bus attached.
-  ///
-  /// `profiler`, when non-null, receives an exclusive stall-class
-  /// attribution for every cycle of every core (profile/stall_class.hpp)
-  /// plus the per-cycle binding class for the critical path. Unlike the
-  /// telemetry bus it does not disable fast-forward: quiescent windows
-  /// carry constant per-core classes, so they are absorbed in bulk and
-  /// the resulting CycleProfile is bit-identical to a ticked run.
-  GcCycleStats collect(SignalTrace* trace = nullptr,
-                       ScheduleTrace* schedule_trace = nullptr,
-                       FaultInjector* fault = nullptr,
-                       TelemetryBus* telemetry = nullptr,
-                       CycleProfiler* profiler = nullptr);
+  /// Its fired events are noted to `obs`.
+  GcCycleStats collect(CycleObserver* obs = nullptr,
+                       FaultInjector* fault = nullptr);
 
   const SimConfig& config() const noexcept { return cfg_; }
 

@@ -21,11 +21,10 @@
 #include "heap/heap.hpp"
 #include "mem/header_fifo.hpp"
 #include "mem/memory_system.hpp"
-#include "profile/cycle_profiler.hpp"
 #include "sim/config.hpp"
 #include "sim/counters.hpp"
+#include "sim/observer.hpp"
 #include "sim/types.hpp"
-#include "telemetry/telemetry_bus.hpp"
 
 namespace hwgc {
 
@@ -36,12 +35,7 @@ struct GcContext {
   HeaderFifo& fifo;
   Heap& heap;
   CoprocessorConfig cfg;
-  TelemetryBus* bus = nullptr;  ///< optional observability sink
-  /// Optional stall-attribution sink (profile/cycle_profiler.hpp). Same
-  /// pay-for-use contract as the bus: null costs one branch per
-  /// core-cycle — but unlike the bus it does not suppress fast-forward
-  /// (quiescent windows are absorbed in bulk, bit-identically).
-  CycleProfiler* profiler = nullptr;
+  CycleObserver* obs = nullptr;  ///< optional; null costs one test per cycle
 };
 
 class GcCore {
@@ -90,11 +84,16 @@ class GcCore {
   };
   FfPoll ff_poll() const;
 
-  /// Applies `k` cycles of the classified steady behavior in one step.
-  void ff_absorb_stall(StallReason r, Cycle k) noexcept {
+  /// Applies `k` cycles of the classified steady behavior in one step,
+  /// publishing the class once for the observer's window.
+  void ff_absorb_stall(StallReason r, Cycle k) {
     counters_.stalls[static_cast<std::size_t>(r)] += k;
+    publish(CoreActivity::kStall, r);
   }
-  void ff_absorb_idle(Cycle k) noexcept { counters_.idle_cycles += k; }
+  void ff_absorb_idle(Cycle k) {
+    counters_.idle_cycles += k;
+    publish(CoreActivity::kIdle);
+  }
 
  private:
   enum class State : std::uint8_t {
@@ -125,23 +124,21 @@ class GcCore {
 
   // Every clock cycle a stepped core spends lands in exactly one of these
   // three accountings; each also publishes the cycle's activity to the
-  // telemetry bus (observation only — simulated timing is unaffected).
+  // observer (observation only — simulated timing is unaffected).
   void stall(StallReason r) {
     counters_.add_stall(r);
-    if (ctx_.bus != nullptr) {
-      ctx_.bus->core_cycle(id_, CoreActivity::kStall, r);
-    }
-    if (ctx_.profiler != nullptr) ctx_.profiler->record_stall(id_, r);
+    publish(CoreActivity::kStall, r);
   }
   void work() {
     ++counters_.busy_cycles;
-    if (ctx_.bus != nullptr) ctx_.bus->core_cycle(id_, CoreActivity::kBusy);
-    if (ctx_.profiler != nullptr) ctx_.profiler->record_work(id_);
+    publish(CoreActivity::kBusy);
   }
   void idle() {
     ++counters_.idle_cycles;
-    if (ctx_.bus != nullptr) ctx_.bus->core_cycle(id_, CoreActivity::kIdle);
-    if (ctx_.profiler != nullptr) ctx_.profiler->record_idle(id_);
+    publish(CoreActivity::kIdle);
+  }
+  void publish(CoreActivity a, StallReason r = StallReason::kNone) {
+    if (ctx_.obs != nullptr) ctx_.obs->on_core_cycle(id_, a, r);
   }
 
   // State handlers; each models exactly one clock cycle.

@@ -21,6 +21,7 @@
 
 #include "core/sync_block.hpp"
 #include "sim/config.hpp"
+#include "sim/observer.hpp"
 #include "sim/types.hpp"
 
 namespace hwgc {
@@ -49,16 +50,17 @@ std::vector<SchedulePolicyKind> all_schedule_policies();
 std::optional<SchedulePolicyKind> parse_schedule_policy(const std::string& name);
 
 /// Bounded ring of the most recent step orders. The fuzz driver attaches
-/// one to Coprocessor::collect and prints it when the differential oracle
-/// fails, so the interleaving that produced the failure can be read off.
-class ScheduleTrace {
+/// one to Coprocessor::collect (as its CycleObserver) and prints it when
+/// the differential oracle fails, so the interleaving that produced the
+/// failure can be read off. Records one entry per core-stepping cycle.
+class ScheduleTrace final : public CycleObserver {
  public:
   explicit ScheduleTrace(std::size_t capacity = 64) : capacity_(capacity) {}
 
-  void record(Cycle now, const std::vector<CoreId>& order) {
+  void record(Cycle now, std::span<const CoreId> order) {
     ++recorded_;
     if (ring_.size() >= capacity_) ring_.pop_front();
-    ring_.emplace_back(now, order);
+    ring_.emplace_back(now, std::vector<CoreId>(order.begin(), order.end()));
   }
 
   /// Equivalent of `count` consecutive record() calls for cycles
@@ -66,13 +68,21 @@ class ScheduleTrace {
   /// path's way of keeping the ring and the recorded count bit-identical
   /// to a ticked run without materializing the skipped cycles.
   void record_repeated(Cycle first, Cycle count,
-                       const std::vector<CoreId>& order) {
-    recorded_ += count;
+                       std::span<const CoreId> order) {
+    const std::uint64_t before = recorded_;
     Cycle i = count > capacity_ ? count - capacity_ : 0;
-    for (; i < count; ++i) {
-      if (ring_.size() >= capacity_) ring_.pop_front();
-      ring_.emplace_back(first + i, order);
-    }
+    for (; i < count; ++i) record(first + i, order);
+    recorded_ = before + count;
+  }
+
+  // --- CycleObserver ------------------------------------------------------
+
+  bool absorbs_windows() const override { return true; }
+  void on_cycle_end(const CycleView& v) override {
+    if (!v.draining) record(v.now, v.step_order);
+  }
+  void on_window(const CycleView& v, Cycle k) override {
+    if (!v.draining) record_repeated(v.now, k, v.step_order);
   }
 
   std::uint64_t cycles_recorded() const noexcept { return recorded_; }

@@ -36,18 +36,16 @@
 namespace hwgc {
 
 class FaultInjector;
-class TelemetryBus;
-enum class SbLock : std::uint8_t;
+class CycleObserver;
 
 class SyncBlock {
  public:
   /// `fault`, when non-null, can suppress scan/free lock grants (spurious
-  /// arbitration failure) and force busy bits to read stuck-at-1.
-  explicit SyncBlock(std::uint32_t num_cores, FaultInjector* fault = nullptr);
-
-  /// Publishes scan-/free-lock hold spans to the bus (observability only;
-  /// never affects arbitration).
-  void attach_telemetry(TelemetryBus* bus) noexcept { tel_ = bus; }
+  /// arbitration failure) and force busy bits to read stuck-at-1. `obs`,
+  /// when non-null, sees every scan-/free-lock grant and release
+  /// (observation only; never affects arbitration).
+  explicit SyncBlock(std::uint32_t num_cores, FaultInjector* fault = nullptr,
+                     CycleObserver* obs = nullptr);
 
   std::uint32_t num_cores() const noexcept {
     return static_cast<std::uint32_t>(busy_.size());
@@ -236,7 +234,7 @@ class SyncBlock {
   void audit(CoreId core, const char* acquiring);
 
   FaultInjector* fault_ = nullptr;
-  TelemetryBus* tel_ = nullptr;
+  CycleObserver* obs_ = nullptr;
   Addr scan_ = 0;
   Addr free_ = 0;
   Addr alloc_top_ = ~Addr{0};

@@ -1,7 +1,7 @@
 #include "fault/fault_injector.hpp"
 
 #include "heap/word_memory.hpp"
-#include "telemetry/telemetry_bus.hpp"
+#include "sim/observer.hpp"
 
 namespace hwgc {
 
@@ -35,14 +35,12 @@ void FaultInjector::fire(std::size_t i) {
   ++fired_total_;
   ++fired_attempt_;
   ++fired_by_kind_[static_cast<std::size_t>(plan_.events[i].kind)];
-  const std::string entry = "attempt " + std::to_string(attempt_) + " cycle " +
-                            std::to_string(now_) + ": " +
-                            plan_.events[i].summary();
-  log_.push_back(entry);
-  if (trace_ != nullptr) trace_->note(now_, "fault: " + entry);
-  if (tel_ != nullptr) {
-    tel_->instant(tel_->track("faults"), TelemetryCategory::kFault,
-                  plan_.events[i].summary());
+  const std::string where = "attempt " + std::to_string(attempt_) +
+                            " cycle " + std::to_string(now_);
+  const std::string what = plan_.events[i].summary();
+  log_.push_back(where + ": " + what);
+  if (obs_ != nullptr) {
+    obs_->on_note(now_, TelemetryCategory::kFault, what, where);
   }
 }
 

@@ -23,13 +23,12 @@
 #include <vector>
 
 #include "fault/fault_plan.hpp"
-#include "sim/trace.hpp"
 #include "sim/types.hpp"
 
 namespace hwgc {
 
 class WordMemory;
-class TelemetryBus;
+class CycleObserver;
 
 /// What the memory scheduler must do with an accepted transaction.
 struct MemFaultAction {
@@ -51,12 +50,9 @@ class FaultInjector {
   /// before the first attempt when the plan contains memory faults.
   void attach_memory(WordMemory* mem) noexcept { mem_ = mem; }
 
-  /// Optional trace: every fired event is note()d with its clock cycle.
-  void attach_trace(SignalTrace* trace) noexcept { trace_ = trace; }
-
-  /// Optional bus: every fired event becomes an instant on its "faults"
-  /// track, so injections line up with the stalls they cause.
-  void attach_telemetry(TelemetryBus* bus) noexcept { tel_ = bus; }
+  /// Optional observer: every fired event becomes a kFault note at its
+  /// clock cycle. Coprocessor::collect attaches its own observer here.
+  void attach_observer(CycleObserver* obs) noexcept { obs_ = obs; }
 
   /// Starts an attempt: logical core i of this attempt is physical core
   /// active_physical[i]. Re-arms persistent events; resets per-attempt
@@ -149,8 +145,7 @@ class FaultInjector {
   std::vector<EventState> state_;
   std::vector<CoreId> logical_to_physical_;
   WordMemory* mem_ = nullptr;
-  SignalTrace* trace_ = nullptr;
-  TelemetryBus* tel_ = nullptr;
+  CycleObserver* obs_ = nullptr;
   Cycle now_ = 0;
   std::uint32_t attempt_ = 0;
   std::uint64_t fired_total_ = 0;

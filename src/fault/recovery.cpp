@@ -5,8 +5,7 @@
 
 #include "baselines/sequential_cheney.hpp"
 #include "core/coprocessor.hpp"
-#include "profile/cycle_profiler.hpp"
-#include "telemetry/telemetry_bus.hpp"
+#include "sim/observer.hpp"
 
 namespace hwgc {
 
@@ -71,19 +70,12 @@ Cycle RecoveringCollector::watchdog_budget(Word live_words) const noexcept {
   return r.watchdog_base + r.watchdog_per_live_word * live_words;
 }
 
-RecoveryReport RecoveringCollector::collect(SignalTrace* trace,
-                                            TelemetryBus* telemetry,
-                                            CycleProfiler* profiler) {
+RecoveryReport RecoveringCollector::collect(CycleObserver* obs) {
   RecoveryReport report;
   report.faults_requested = requested_;
   report.faults_injected = injector_.plan().size();
-  injector_.attach_trace(trace);
-  injector_.attach_telemetry(telemetry);
-  const auto recovery_note = [&](std::string text) {
-    if (telemetry != nullptr) {
-      telemetry->instant(telemetry->track("recovery"),
-                         TelemetryCategory::kRecovery, std::move(text));
-    }
+  const auto recovery_note = [&](Cycle at, const std::string& text) {
+    if (obs != nullptr) obs->on_note(at, TelemetryCategory::kRecovery, text, {});
   };
 
   if (cfg_.recovery.header_ecc) heap_.memory().enable_ecc();
@@ -113,8 +105,7 @@ RecoveryReport RecoveringCollector::collect(SignalTrace* trace,
     Coprocessor coproc(attempt_cfg, heap_);
     bool aborted = false;
     try {
-      report.stats =
-          coproc.collect(trace, nullptr, &injector_, telemetry, profiler);
+      report.stats = coproc.collect(obs, &injector_);
       rec.cycles = report.stats.total_cycles;
       if (cfg_.recovery.verify_heap) {
         const VerifyResult vr = verify_collection(pre, heap_);
@@ -146,15 +137,10 @@ RecoveryReport RecoveringCollector::collect(SignalTrace* trace,
       break;
     }
 
-    if (trace != nullptr) {
-      trace->note(rec.cycles, "recovery: attempt " +
-                                  std::to_string(rec.attempt) + " aborted (" +
+    recovery_note(rec.cycles, "attempt " + std::to_string(rec.attempt) +
+                                  " aborted (" +
                                   std::string(to_string(rec.abort_reason)) +
                                   "), restoring pre-cycle image");
-    }
-    recovery_note("attempt " + std::to_string(rec.attempt) + " aborted (" +
-                  std::string(to_string(rec.abort_reason)) +
-                  "), restoring pre-cycle image");
     image.restore(heap_);
     ++failures_this_config;
 
@@ -167,15 +153,10 @@ RecoveryReport RecoveringCollector::collect(SignalTrace* trace,
       std::erase(active, rec.suspect_physical);
       report.deconfigured.push_back(rec.suspect_physical);
       failures_this_config = 0;
-      if (trace != nullptr) {
-        trace->note(rec.cycles,
-                    "recovery: deconfigured physical core " +
-                        std::to_string(rec.suspect_physical) + ", " +
-                        std::to_string(active.size()) + " core(s) remain");
-      }
-      recovery_note("deconfigured physical core " +
-                    std::to_string(rec.suspect_physical) + ", " +
-                    std::to_string(active.size()) + " core(s) remain");
+      recovery_note(rec.cycles, "deconfigured physical core " +
+                                    std::to_string(rec.suspect_physical) +
+                                    ", " + std::to_string(active.size()) +
+                                    " core(s) remain");
       continue;
     }
     coprocessor_usable = false;
@@ -186,10 +167,7 @@ RecoveryReport RecoveringCollector::collect(SignalTrace* trace,
     // pass, bypassing the (faulty) coprocessor and memory scheduler. The
     // heap already holds the restored pre-cycle image.
     report.used_sequential_fallback = true;
-    if (trace != nullptr) {
-      trace->note(0, "recovery: falling back to sequential software GC");
-    }
-    recovery_note("falling back to sequential software GC");
+    recovery_note(0, "falling back to sequential software GC");
     AttemptRecord rec;
     rec.attempt = attempt;
     rec.num_cores = 0;  // runs on the main processor, not the coprocessor
@@ -213,10 +191,6 @@ RecoveryReport RecoveringCollector::collect(SignalTrace* trace,
       report.stats.words_copied = seq.words_copied;
       report.stats.pointers_forwarded = seq.pointers_forwarded;
       report.stats.restart_stores_drained = true;
-      // The fallback runs outside the coprocessor clock — there are no
-      // simulated cycles to attribute, only the failed attempt's partial
-      // profile, which must not escape as if it covered this collection.
-      if (profiler != nullptr) profiler->mark_unprofiled();
     }
   }
 

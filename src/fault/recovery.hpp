@@ -29,11 +29,10 @@
 #include "sim/abort.hpp"
 #include "sim/config.hpp"
 #include "sim/counters.hpp"
-#include "sim/trace.hpp"
 
 namespace hwgc {
 
-class CycleProfiler;
+class CycleObserver;
 
 /// Outcome of one collection attempt inside the recovery loop.
 struct AttemptRecord {
@@ -94,18 +93,12 @@ class RecoveringCollector {
   /// if every escalation level fails, `ok` is false and the heap holds the
   /// restored pre-cycle image.
   ///
-  /// `telemetry`, when non-null, records every attempt as its own epoch
-  /// plus recovery-track instants for image restores, core deconfigurations
-  /// and the sequential fallback.
-  ///
-  /// `profiler`, when non-null, is threaded into every coprocessor attempt;
-  /// each attempt resets it, so on return it holds the attribution of the
-  /// final successful attempt only. The sequential fallback runs on the
-  /// main processor, outside the coprocessor clock, so it marks the
-  /// profile unprofiled instead of inventing cycle classes.
-  RecoveryReport collect(SignalTrace* trace = nullptr,
-                         TelemetryBus* telemetry = nullptr,
-                         CycleProfiler* profiler = nullptr);
+  /// `obs`, when non-null, observes every coprocessor attempt (each one
+  /// a collection of its own) and gets a kRecovery note for every image
+  /// restore, core deconfiguration and the sequential fallback. The
+  /// fallback runs on the main processor, outside the coprocessor clock,
+  /// so it is not observed as a collection.
+  RecoveryReport collect(CycleObserver* obs = nullptr);
 
   const FaultInjector& injector() const noexcept { return injector_; }
 

@@ -3,22 +3,18 @@
 #include <cassert>
 
 #include "fault/fault_injector.hpp"
-#include "telemetry/telemetry_bus.hpp"
+#include "sim/observer.hpp"
 
 namespace hwgc {
 
 MemorySystem::MemorySystem(const MemoryConfig& cfg, std::uint32_t num_cores,
-                           FaultInjector* fault)
+                           FaultInjector* fault, CycleObserver* obs)
     : cfg_(cfg),
       fault_(fault),
+      obs_(obs),
       buffers_(static_cast<std::size_t>(num_cores) * kPortCount),
       jitter_rng_(cfg.jitter_seed) {
   cache_tags_.assign(cfg_.header_cache_entries, kNullPtr);
-}
-
-void MemorySystem::attach_telemetry(TelemetryBus* bus) {
-  tel_ = bus;
-  if (bus != nullptr) tel_inflight_series_ = bus->counter_series("mem_inflight");
 }
 
 bool MemorySystem::header_cache_lookup_and_fill(Addr addr) {
@@ -60,14 +56,10 @@ void MemorySystem::issue_load(CoreId core, Port port, Addr addr) {
 
 void MemorySystem::tick(Cycle now) {
   // Idle early-out: with nothing queued or in flight the retire and accept
-  // passes are no-ops, so skip them (idle components cost nothing). Only
-  // the sample-on-change telemetry contract must still be honored: the
-  // first idle tick after activity (or ever) publishes the 0.
+  // passes are no-ops, so skip them (idle components cost nothing); an
+  // observer still sees the in-flight count.
   if (idle()) {
-    if (tel_ != nullptr && tel_prev_inflight_ != 0) {
-      tel_prev_inflight_ = 0;
-      tel_->counter_sample(tel_inflight_series_, 0);
-    }
+    if (obs_ != nullptr) obs_->on_counter("mem_inflight", 0);
     return;
   }
   // 1. Retire transactions whose latency has elapsed. Within each port
@@ -174,14 +166,10 @@ void MemorySystem::tick(Cycle now) {
   }
   queue_.resize(kept);
 
-  if (tel_ != nullptr) {
-    const std::uint64_t inflight_now = inflight_header_.size() +
-                                       inflight_header_fast_.size() +
-                                       inflight_body_.size();
-    if (inflight_now != tel_prev_inflight_) {
-      tel_prev_inflight_ = inflight_now;
-      tel_->counter_sample(tel_inflight_series_, inflight_now);
-    }
+  if (obs_ != nullptr) {
+    obs_->on_counter("mem_inflight", inflight_header_.size() +
+                                         inflight_header_fast_.size() +
+                                         inflight_body_.size());
   }
 }
 

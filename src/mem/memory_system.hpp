@@ -50,7 +50,7 @@
 namespace hwgc {
 
 class FaultInjector;
-class TelemetryBus;
+class CycleObserver;
 
 class MemorySystem {
  public:
@@ -62,13 +62,10 @@ class MemorySystem {
 
   /// `fault`, when non-null, is consulted for every accepted transaction
   /// (src/fault/): it can drop the transaction, stretch its latency or
-  /// schedule a ghost duplicate of a store.
+  /// schedule a ghost duplicate of a store. `obs`, when non-null, sees
+  /// the in-flight transaction count every tick (observation only).
   MemorySystem(const MemoryConfig& cfg, std::uint32_t num_cores,
-               FaultInjector* fault = nullptr);
-
-  /// Publishes the in-flight transaction count (sampled on change each
-  /// tick) to the bus. Observability only; timing is unaffected.
-  void attach_telemetry(TelemetryBus* bus);
+               FaultInjector* fault = nullptr, CycleObserver* obs = nullptr);
 
   // --- Core-side buffer interface ---------------------------------------
 
@@ -262,9 +259,7 @@ class MemorySystem {
 
   MemoryConfig cfg_;
   FaultInjector* fault_ = nullptr;
-  TelemetryBus* tel_ = nullptr;
-  std::uint32_t tel_inflight_series_ = 0;
-  std::uint64_t tel_prev_inflight_ = ~std::uint64_t{0};
+  CycleObserver* obs_ = nullptr;
   std::vector<PortBuffer> buffers_;  // num_cores x kPortCount
   std::vector<Request> queue_;       // issued, not yet accepted; oldest first
   // One ring per latency class; header-cache hits form their own, faster

@@ -44,7 +44,7 @@ void CycleProfiler::commit(StallClass b, Cycle k) {
   profile_.total_cycles += k;
 }
 
-void CycleProfiler::end_cycle() {
+void CycleProfiler::end_cycle(Cycle k) {
   std::array<std::uint32_t, kStallClassCount> pop{};
   std::uint32_t clocked = 0;
   for (std::size_t c = 0; c < cur_.size(); ++c) {
@@ -52,26 +52,13 @@ void CycleProfiler::end_cycle() {
         seen_[c] != 0 ? cur_[c] : StallClass::kIdleDeconfigured;
     clocked += seen_[c] != 0 ? 1u : 0u;
     seen_[c] = 0;
-    ++profile_.per_core[c][static_cast<std::size_t>(cls)];
+    profile_.per_core[c][static_cast<std::size_t>(cls)] += k;
     ++pop[static_cast<std::size_t>(cls)];
-  }
-  commit(binding_of(pop, clocked), 1);
-}
-
-void CycleProfiler::drain_cycle() { absorb_drain(1); }
-
-void CycleProfiler::absorb(const std::vector<StallClass>& cls, Cycle k) {
-  std::array<std::uint32_t, kStallClassCount> pop{};
-  std::uint32_t clocked = 0;
-  for (std::size_t c = 0; c < cls.size(); ++c) {
-    profile_.per_core[c][static_cast<std::size_t>(cls[c])] += k;
-    ++pop[static_cast<std::size_t>(cls[c])];
-    if (cls[c] != StallClass::kIdleDeconfigured) ++clocked;
   }
   commit(binding_of(pop, clocked), k);
 }
 
-void CycleProfiler::absorb_drain(Cycle k) {
+void CycleProfiler::drain_cycle(Cycle k) {
   constexpr auto kDeconf =
       static_cast<std::size_t>(StallClass::kIdleDeconfigured);
   for (auto& pc : profile_.per_core) pc[kDeconf] += k;

@@ -1,7 +1,7 @@
 // CycleProfiler — per-cycle stall attribution for one collection cycle
 // (the tentpole of the observability work; DESIGN.md §15).
 //
-// The profiler rides the same seam as the TelemetryBus: GcCore's three-way
+// The profiler is a CycleObserver (sim/observer.hpp): GcCore's three-way
 // work()/stall()/idle() accounting publishes each stepped core's cycle
 // class, and the Coprocessor clock loop closes every cycle — folding
 // unstepped cores (done, fail-stopped, drain window) into
@@ -23,12 +23,10 @@
 // The critical path of a collection is this binding stream (see
 // profile/critical_path.hpp for the walker and the validator).
 //
-// Pay-for-use: a null profiler pointer costs one branch per core-cycle,
-// the same contract as the bus — and unlike the bus the profiler does NOT
-// suppress quiescent fast-forward: during a quiescent window every core's
-// class is constant by construction, so the clock loop applies the window
-// in bulk through absorb()/absorb_drain() and the resulting profile is
-// bit-identical to a ticked run (tests/test_profile.cpp proves it).
+// The profiler absorbs quiescent windows: during one every core's class
+// is constant by construction, so the window is applied in bulk through
+// on_window() and the resulting profile is bit-identical to a
+// ticked run (tests/test_profile.cpp proves it).
 #pragma once
 
 #include <array>
@@ -37,6 +35,7 @@
 
 #include "profile/stall_class.hpp"
 #include "sim/counters.hpp"
+#include "sim/observer.hpp"
 #include "sim/types.hpp"
 
 namespace hwgc {
@@ -96,58 +95,61 @@ struct CycleProfile {
   }
 };
 
-class CycleProfiler {
+class CycleProfiler final : public CycleObserver {
  public:
   /// Resets all state for a fresh collection attempt on `cores` cores.
-  /// The recovery ladder calls this once per attempt, so an aborted
-  /// attempt's partial attribution is discarded and only the final,
-  /// successful attempt's profile survives.
+  /// Every coprocessor attempt starts with this, so an aborted attempt's
+  /// partial attribution is discarded and only the final, successful
+  /// attempt's profile survives.
   void begin_collection(std::uint32_t cores);
 
-  // --- per-cycle publications from GcCore (exactly one per stepped core) --
-  void record_work(CoreId c) noexcept { set(c, StallClass::kCompute); }
-  void record_stall(CoreId c, StallReason r) noexcept { set(c, class_of(r)); }
-  void record_idle(CoreId c) noexcept { set(c, StallClass::kWorklistStarved); }
+  // --- CycleObserver ------------------------------------------------------
 
-  // --- clock-loop hooks ---------------------------------------------------
-  /// Closes one live (core-stepping) cycle: cores that did not report are
-  /// charged idle-deconfigured, the binding class is computed and the RLE
-  /// stream extended.
-  void end_cycle();
+  bool absorbs_windows() const override { return true; }
+  void on_collection_begin(std::uint32_t cores) override {
+    begin_collection(cores);
+  }
+  void on_collection_end(Cycle /*now*/,
+                         const CollectionAbort* abort) override {
+    if (abort == nullptr) end_collection();
+  }
+  /// Exactly one per stepped core per cycle.
+  void on_core_cycle(CoreId c, CoreActivity a, StallReason r) override {
+    cur_[c] = a == CoreActivity::kBusy   ? StallClass::kCompute
+              : a == CoreActivity::kIdle ? StallClass::kWorklistStarved
+                                         : class_of(r);
+    seen_[c] = 1;
+  }
+  void on_cycle_end(const CycleView& v) override { on_window(v, 1); }
+  /// A quiescent window is k copies of one cycle: every core keeps the
+  /// class it reported, so it closes exactly like k single cycles.
+  void on_window(const CycleView& v, Cycle k) override {
+    v.draining ? drain_cycle(k) : end_cycle(k);
+  }
 
-  /// Closes one store-drain cycle (all cores halted): every core is
+  // --- cycle closing --------------------------------------------------------
+  /// Closes `k` live (core-stepping) cycles with this cycle's reports:
+  /// cores that did not report are charged idle-deconfigured, the binding
+  /// class is computed and the RLE stream extended.
+  void end_cycle(Cycle k = 1);
+
+  /// Closes `k` store-drain cycles (all cores halted): every core is
   /// idle-deconfigured and the memory ports bind.
-  void drain_cycle();
-
-  /// Bulk application of `k` quiescent cycles whose per-core classes are
-  /// `cls` (one entry per core, constant across the window) — the
-  /// fast-forward path. Exactly equivalent to k end_cycle() calls with
-  /// the same per-core reports.
-  void absorb(const std::vector<StallClass>& cls, Cycle k);
-
-  /// Bulk application of `k` store-drain cycles (fast-forward while
-  /// halted). Exactly equivalent to k drain_cycle() calls.
-  void absorb_drain(Cycle k);
+  void drain_cycle(Cycle k = 1);
 
   /// Finalizes the profile of a completed collection.
   void end_collection() { profile_.valid = true; }
 
-  /// Marks the collection as not coprocessor-profiled (sequential
-  /// fallback): the profile stays invalid and empty of cycles.
+  /// Marks the collection as not coprocessor-profiled (recovery's
+  /// sequential fallback): the profile stays invalid and empty of cycles.
   void mark_unprofiled() {
     begin_collection(0);
     profile_.valid = false;
   }
 
-  const CycleProfile& profile() const noexcept { return profile_; }
   CycleProfile take_profile() { return std::move(profile_); }
 
  private:
-  void set(CoreId c, StallClass cls) noexcept {
-    cur_[c] = cls;
-    seen_[c] = 1;
-  }
-
   /// Adds `k` cycles bound by `b` to the critical totals + RLE stream.
   void commit(StallClass b, Cycle k);
 

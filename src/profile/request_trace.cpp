@@ -1,7 +1,8 @@
 #include "profile/request_trace.hpp"
 
 #include <algorithm>
-#include <fstream>
+
+#include "telemetry/jsonl.hpp"
 
 namespace hwgc {
 
@@ -99,15 +100,15 @@ std::string exemplar_spans_jsonl(const std::vector<RequestExemplar>& exemplars,
 
 bool write_exemplar_flame(const std::vector<RequestExemplar>& exemplars,
                           const std::string& path) {
-  std::ofstream f(path, std::ios::binary);
-  if (!f) return false;
   std::string out = "{\"traceEvents\":[";
   bool first = true;
   for (const RequestExemplar& e : exemplars) {
     for (const SpanRecord& s : exemplar_spans(e)) {
       if (!first) out += ",";
       first = false;
-      out += "\n{\"name\":\"" + s.name + "\",\"ph\":\"X\",\"pid\":" +
+      out += "\n{\"name\":\"";
+      append_escaped(out, s.name);
+      out += "\",\"ph\":\"X\",\"pid\":" +
              std::to_string(s.shard) + ",\"tid\":" + std::to_string(s.trace) +
              ",\"ts\":" + std::to_string(s.begin) +
              ",\"dur\":" + std::to_string(s.end - s.begin) +
@@ -118,9 +119,7 @@ bool write_exemplar_flame(const std::vector<RequestExemplar>& exemplars,
     }
   }
   out += "\n]}\n";
-  f.write(out.data(), static_cast<std::streamsize>(out.size()));
-  f.flush();
-  return f.good();
+  return write_jsonl_file(path, out);
 }
 
 void insert_exemplar(std::vector<RequestExemplar>& top, std::size_t k,

@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "core/coprocessor.hpp"
+#include "sim/observer.hpp"
 
 namespace hwgc {
 
@@ -149,10 +150,14 @@ const GcCycleStats& Runtime::collect_now() {
   if (observer_ != nullptr) observer_->before_collection(*this);
   CycleProfiler profiler;
   CycleProfiler* prof = profiling_ ? &profiler : nullptr;
+  ObserverFanout fanout;
+  fanout.add(cycle_obs_);
+  fanout.add(prof);
+  const bool recovering = cfg_.fault.enabled() || cfg_.recovery.enabled;
   // Allocation into the current space is dense, so alloc_ptr is already
   // consistent; the coprocessor flips the heap and republishes it.
   if (plugin_ != nullptr) {
-    if (cfg_.fault.enabled() || cfg_.recovery.enabled) {
+    if (recovering) {
       throw std::logic_error(
           "Runtime: a collector plugin cannot be combined with fault "
           "injection/recovery (the recovery ladder owns the cycle)");
@@ -160,23 +165,14 @@ const GcCycleStats& Runtime::collect_now() {
     history_.push_back(plugin_->collect(heap_));
     // Plugin cycles run outside the coprocessor clock: keep
     // profile_history_ index-aligned with an invalid profile.
-    if (prof != nullptr) profile_history_.emplace_back();
-    if (!history_.back().restart_stores_drained) {
-      ++drain_violations_;
-      if (prof != nullptr) profile_history_.pop_back();
-      history_.pop_back();
-      throw std::logic_error(
-          "Runtime: mutator restart with undrained GC store buffers "
-          "(Section V-E restart condition violated)");
-    }
-    if (observer_ != nullptr) {
-      observer_->after_collection(*this, history_.back());
-    }
-    return history_.back();
-  }
-  if (cfg_.fault.enabled() || cfg_.recovery.enabled) {
+    profiler.mark_unprofiled();
+  } else if (recovering) {
     RecoveringCollector collector(cfg_, heap_);
-    RecoveryReport report = collector.collect(nullptr, telemetry_, prof);
+    RecoveryReport report = collector.collect(fanout.target());
+    // The sequential fallback runs outside the coprocessor clock too: only
+    // the failed attempt's partial profile is left, which must not escape
+    // as if it covered this cycle.
+    if (report.used_sequential_fallback) profiler.mark_unprofiled();
     if (!report.ok) {
       recovery_history_.push_back(std::move(report));
       throw std::runtime_error(
@@ -186,9 +182,7 @@ const GcCycleStats& Runtime::collect_now() {
     history_.push_back(report.stats);
     recovery_history_.push_back(std::move(report));
   } else {
-    Coprocessor coproc(cfg_, heap_);
-    history_.push_back(
-        coproc.collect(signal_trace_, nullptr, nullptr, telemetry_, prof));
+    history_.push_back(Coprocessor(cfg_, heap_).collect(fanout.target()));
   }
   // Section V-E: "the main processor is only restarted after all updates
   // are written back to the memory". A cycle whose store buffers had not

@@ -23,7 +23,7 @@
 namespace hwgc {
 
 class Runtime;
-class SignalTrace;
+class CycleObserver;
 
 /// Observation seam around every collection cycle the runtime runs —
 /// explicit or allocation-triggered. The service layer (src/service/)
@@ -187,16 +187,16 @@ class Runtime {
   /// coprocessor; per-cycle reports accumulate in recovery_history().
   const GcCycleStats& collect();
 
-  /// Attaches an observability bus: every subsequent collection (explicit
-  /// or allocation-triggered) publishes its full event stream there, each
-  /// as its own epoch on one continuous timeline. Pass nullptr to detach.
-  void set_telemetry(TelemetryBus* bus) noexcept { telemetry_ = bus; }
-  TelemetryBus* telemetry() const noexcept { return telemetry_; }
+  /// Attaches a cycle observer (a TelemetryBus, a SignalTrace, or several
+  /// through an ObserverFanout): every subsequent coprocessor collection
+  /// (explicit or allocation-triggered, fault-injected and recovered ones
+  /// included) publishes to it, each as its own collection on one
+  /// continuous timeline. Pass nullptr to detach.
+  void set_cycle_observer(CycleObserver* obs) noexcept { cycle_obs_ = obs; }
 
   /// Turns per-cycle stall attribution on or off for future collections.
-  /// Pay-for-use: off (the default) leaves every hot path untouched and
-  /// keeps traces and telemetry bit-identical to a build without the
-  /// profiler. On, every collection appends one CycleProfile to
+  /// Pay-for-use: off (the default) leaves every hot path untouched; on or
+  /// off, traces and telemetry stay bit-identical. On, every collection appends one CycleProfile to
   /// profile_history() — index-aligned with gc_history() as long as
   /// profiling stays enabled for the runtime's whole life (the service
   /// layer enables it at shard construction and never toggles it).
@@ -231,12 +231,6 @@ class Runtime {
   /// configured, rather than silently picking one.
   void set_collector(CollectorPlugin* plugin) noexcept { plugin_ = plugin; }
   CollectorPlugin* collector() const noexcept { return plugin_; }
-
-  /// Attaches a hardware signal trace sampled by every coprocessor-path
-  /// collection (nullptr to detach). Used by the trace round-trip identity
-  /// proof: record and replay of the same trace must produce bit-identical
-  /// SignalTrace event streams.
-  void set_signal_trace(SignalTrace* st) noexcept { signal_trace_ = st; }
 
   /// Current heap address of a rooted reference. Only stable until the
   /// next collection — exposed for tests and debugging tools (e.g. the
@@ -293,11 +287,10 @@ class Runtime {
   bool profiling_ = false;
   std::uint64_t drain_violations_ = 0;
   std::size_t root_high_water_ = 0;
-  TelemetryBus* telemetry_ = nullptr;
+  CycleObserver* cycle_obs_ = nullptr;
   CollectionObserver* observer_ = nullptr;
   RuntimeTraceSink* sink_ = nullptr;
   CollectorPlugin* plugin_ = nullptr;
-  SignalTrace* signal_trace_ = nullptr;
 };
 
 }  // namespace hwgc

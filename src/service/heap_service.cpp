@@ -412,11 +412,11 @@ HeapService::HeapService(const ServiceConfig& cfg)
 HeapService::~HeapService() = default;
 
 void HeapService::rebuild_pool() {
-  // One lane per shard. A telemetry bus is shared mutable state across
+  // One lane per shard. A cycle observer is shared mutable state across
   // every shard's runtime, so its presence forces the inline (serial)
   // engine; serve() fully drains before returning, so swapping engines
   // between serves is safe.
-  const std::size_t threads = telemetry_attached_ ? 1 : cfg_.host_threads;
+  const std::size_t threads = cycle_obs_ != nullptr ? 1 : cfg_.host_threads;
   pool_ = std::make_unique<ShardPool>(cfg_.shards, threads);
 }
 
@@ -887,13 +887,11 @@ std::vector<RequestExemplar> HeapService::slowest_requests() const {
   return top;
 }
 
-void HeapService::set_telemetry(TelemetryBus* bus) {
-  for (auto& s : shards_) s->rt.set_telemetry(bus);
-  const bool attached = bus != nullptr;
-  if (attached != telemetry_attached_) {
-    telemetry_attached_ = attached;
-    rebuild_pool();
-  }
+void HeapService::set_cycle_observer(CycleObserver* obs) {
+  for (auto& s : shards_) s->rt.set_cycle_observer(obs);
+  const bool rebuild = (obs != nullptr) != (cycle_obs_ != nullptr);
+  cycle_obs_ = obs;
+  if (rebuild) rebuild_pool();
 }
 
 }  // namespace hwgc

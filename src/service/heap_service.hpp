@@ -138,8 +138,8 @@ struct ServiceConfig {
   /// reference engine. Any thread count produces byte-identical output
   /// (enforced by tests/test_service_parallel.cpp): shards share nothing,
   /// tasks for one shard run FIFO, and the conductor joins at every data
-  /// dependency. Ignored (forced serial) while a telemetry bus is
-  /// attached, because one bus is shared by every shard.
+  /// dependency. Ignored (forced serial) while a cycle observer is
+  /// attached, because one observer is shared by every shard.
   std::size_t host_threads = 1;
 };
 
@@ -184,10 +184,11 @@ class HeapService {
   std::size_t validate_all_shards();
   std::size_t validate_shard(std::size_t shard);
 
-  /// Attaches one bus to every shard runtime: collections from all shards
-  /// land on a single fleet timeline, one epoch per cycle (core tracks are
-  /// shared across shards; epochs identify the collecting shard).
-  void set_telemetry(TelemetryBus* bus);
+  /// Attaches one cycle observer to every shard runtime (nullptr to
+  /// detach). With a TelemetryBus, collections from all shards land on a
+  /// single fleet timeline, one epoch per cycle (core tracks are shared
+  /// across shards; epochs identify the collecting shard).
+  void set_cycle_observer(CycleObserver* obs);
 
   // --- Fleet resilience ----------------------------------------------------
 
@@ -255,7 +256,7 @@ class HeapService {
   std::unique_ptr<ShardSupervisor> supervisor_;
   Cycle now_ = 0;
   std::uint64_t offered_ = 0;
-  bool telemetry_attached_ = false;
+  CycleObserver* cycle_obs_ = nullptr;
 
   /// Placeholder fleet view for ObservationNeeds::kFleetSize policies:
   /// only .shard is populated (built once; the contract in scheduler.hpp

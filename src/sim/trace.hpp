@@ -4,15 +4,23 @@
 //
 // We write named signal samples to an in-memory ring and optionally to a
 // CSV file for offline analysis, mirroring their measurement flow.
+//
+// Attached to a collection as a CycleObserver (sim/observer.hpp), the
+// trace registers the coprocessor's four signals once — scan, free,
+// gray_words, busy_cores — and samples them on change at the end of every
+// cycle; fault and recovery notes land beside the samples. Quiescent
+// windows change no signal, so the trace absorbs them without a sample.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "sim/observer.hpp"
 #include "sim/types.hpp"
 
 namespace hwgc {
@@ -24,30 +32,28 @@ struct TraceEvent {
   std::uint64_t value = 0;
 };
 
-/// Records signal samples with bounded memory. Disabled tracers compile to
-/// near-no-ops on the hot path.
-class SignalTrace {
+/// Records signal samples and notes in rings of at most `max_events`
+/// entries each (the oldest entry is dropped first).
+class SignalTrace final : public CycleObserver {
  public:
   static constexpr std::size_t kMaxSignals = 32;  // as in the prototype
 
-  SignalTrace() = default;
+  explicit SignalTrace(std::size_t max_events = 1u << 20)
+      : max_events_(max_events) {}
 
   /// Registers a signal name; returns its id. At most kMaxSignals signals
-  /// may be registered, matching the hardware monitor's channel count.
+  /// may be registered, matching the hardware monitor's channel count;
+  /// one more throws std::length_error.
   std::uint16_t register_signal(std::string name) {
+    if (names_.size() >= kMaxSignals) {
+      throw std::length_error("SignalTrace: more than " +
+                              std::to_string(kMaxSignals) + " signals");
+    }
     names_.push_back(std::move(name));
     return static_cast<std::uint16_t>(names_.size() - 1);
   }
 
-  void enable(std::size_t max_events = 1u << 20) {
-    enabled_ = true;
-    max_events_ = max_events;
-  }
-  void disable() { enabled_ = false; }
-  bool enabled() const noexcept { return enabled_; }
-
   void sample(Cycle cycle, std::uint16_t signal, std::uint64_t value) {
-    if (!enabled_) return;
     if (events_.size() >= max_events_) events_.pop_front();
     events_.push_back(TraceEvent{cycle, signal, value});
   }
@@ -56,22 +62,59 @@ class SignalTrace {
   const std::vector<std::string>& signal_names() const noexcept {
     return names_;
   }
-  void clear() {
-    events_.clear();
-    notes_.clear();
-  }
 
   /// Timestamped free-form annotation — the software counterpart of the
   /// monitor's event markers. The fault subsystem notes every injected
   /// fault, abort, deconfiguration and fallback here so a trace tells the
   /// full recovery story alongside the signal samples.
   void note(Cycle cycle, std::string text) {
-    if (!enabled_) return;
     if (notes_.size() >= max_events_) notes_.pop_front();
     notes_.emplace_back(cycle, std::move(text));
   }
   const std::deque<std::pair<Cycle, std::string>>& notes() const noexcept {
     return notes_;
+  }
+
+  // --- CycleObserver ------------------------------------------------------
+
+  bool absorbs_windows() const override { return true; }
+
+  void on_collection_begin(std::uint32_t /*cores*/) override {
+    if (!registered_) {
+      sig_scan_ = register_signal("scan");
+      sig_free_ = register_signal("free");
+      sig_gray_ = register_signal("gray_words");
+      sig_busy_ = register_signal("busy_cores");
+      registered_ = true;
+    }
+    prev_scan_ = prev_free_ = prev_busy_ = ~std::uint64_t{0};
+  }
+
+  void on_cycle_end(const CycleView& v) override {
+    if (v.draining) return;
+    const auto changed = [](std::uint64_t& prev, std::uint64_t value) {
+      return std::exchange(prev, value) != value;
+    };
+    if (changed(prev_scan_, v.scan)) sample(v.now, sig_scan_, v.scan);
+    if (changed(prev_free_, v.free)) {
+      sample(v.now, sig_free_, v.free);
+      sample(v.now, sig_gray_, v.free - v.scan);
+    }
+    if (changed(prev_busy_, v.busy_cores)) {
+      sample(v.now, sig_busy_, v.busy_cores);
+    }
+  }
+
+  /// Keeps fault and recovery notes ("fault: attempt 0 cycle 103: ...").
+  void on_note(Cycle at, TelemetryCategory cat, std::string_view text,
+               std::string_view where) override {
+    if (cat != TelemetryCategory::kFault &&
+        cat != TelemetryCategory::kRecovery) {
+      return;
+    }
+    std::string line = std::string(to_string(cat)) + ": ";
+    if (!where.empty()) line.append(where).append(": ");
+    note(at, line.append(text));
   }
 
   /// Dumps the trace as CSV (cycle,signal,value,note). Signal samples
@@ -187,11 +230,17 @@ class SignalTrace {
     return id;
   }
 
-  bool enabled_ = false;
-  std::size_t max_events_ = 1u << 20;
+  std::size_t max_events_;
   std::deque<TraceEvent> events_;
   std::deque<std::pair<Cycle, std::string>> notes_;
   std::vector<std::string> names_;
+
+  // Coprocessor signals, registered on the first collection observed.
+  bool registered_ = false;
+  std::uint16_t sig_scan_ = 0, sig_free_ = 0, sig_gray_ = 0, sig_busy_ = 0;
+  std::uint64_t prev_scan_ = ~std::uint64_t{0};
+  std::uint64_t prev_free_ = ~std::uint64_t{0};
+  std::uint64_t prev_busy_ = ~std::uint64_t{0};
 };
 
 }  // namespace hwgc

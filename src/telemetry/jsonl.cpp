@@ -175,6 +175,25 @@ bool write_jsonl_file(const std::string& path, const std::string& jsonl) {
   return f.good();
 }
 
+void append_escaped(std::string& out, std::string_view s) {
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+}
+
 bool check_field(const JsonKv& kv, const JsonField& f, std::string* error) {
   if (f.type == JsonType::kString) {
     const auto s = req_str(kv, f.name, error);

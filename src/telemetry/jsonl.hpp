@@ -63,9 +63,15 @@ bool sums_to(std::initializer_list<std::uint64_t> terms, std::uint64_t total);
 /// The one fixed-point formatter for number fields ("%.6f").
 std::string fmt_fixed6(double v);
 
-/// The one JSONL file writer: writes `jsonl` to `path`, replacing any
-/// previous contents. Returns false on I/O failure.
+/// The one JSON file writer (JSONL and the Chrome-trace documents alike):
+/// writes `jsonl` to `path`, replacing any previous contents. Returns
+/// false on I/O failure.
 bool write_jsonl_file(const std::string& path, const std::string& jsonl);
+
+/// Appends `s` to `out` escaped for the inside of a JSON string: quote,
+/// backslash, newline and tab by name, other control bytes as six-character
+/// unicode escapes.
+void append_escaped(std::string& out, std::string_view s);
 
 /// Wire type of one field: quoted string, unsigned or signed integer, or a
 /// number rendered with fmt_fixed6.

@@ -1,24 +1,70 @@
 #include "telemetry/telemetry_bus.hpp"
 
+#include <algorithm>
 #include <utility>
+
+#include "sim/abort.hpp"
 
 namespace hwgc {
 
-#ifdef HWGC_NO_TELEMETRY
-// Publishing compiled out: only the interning / bookkeeping entry points
-// keep real bodies so exporters still link.
-void TelemetryBus::begin_collection(std::string) {}
-void TelemetryBus::end_collection(Cycle) {}
-void TelemetryBus::core_cycle(CoreId, CoreActivity, StallReason) {}
-void TelemetryBus::phase(GcPhase) {}
-void TelemetryBus::lock_acquired(SbLock, CoreId) {}
-void TelemetryBus::lock_released(SbLock, CoreId) {}
-void TelemetryBus::instant(std::uint32_t, TelemetryCategory, std::string) {}
-void TelemetryBus::counter_sample(std::uint32_t, std::uint64_t) {}
-#else
+void TelemetryBus::on_collection_begin(std::uint32_t cores) {
+  begin_collection("collection (" + std::to_string(cores) + " cores)");
+  // Intern the main tracks in canonical order so exports list the
+  // coprocessor first, then the cores, then the shared locks —
+  // independent of which module happens to publish first.
+  (void)track("coprocessor");
+  for (CoreId id = 0; id < cores; ++id) (void)core_track(id);
+  (void)track(to_string(SbLock::kScan));
+  (void)track(to_string(SbLock::kFree));
+  for (const char* series : {"gray_words", "fifo_depth", "mem_inflight"}) {
+    (void)counter_series(series);
+  }
+  last_sample_.assign(counter_names_.size(), ~std::uint64_t{0});
+  scan_phase_ = false;
+  on_cycle_begin(0);
+  phase(GcPhase::kRootEvacuation);
+}
+
+void TelemetryBus::on_collection_end(Cycle now, const CollectionAbort* abort) {
+  if (abort != nullptr) {
+    instant(track("coprocessor"), TelemetryCategory::kFault,
+            std::string("abort [") + to_string(abort->reason()) +
+                "]: " + abort->what());
+  } else {
+    on_cycle_begin(now);
+    instant(track("coprocessor"), TelemetryCategory::kPhase, "flip");
+  }
+  end_collection(now);
+}
+
+void TelemetryBus::on_counter(std::string_view series, std::uint64_t value) {
+  const std::uint32_t id = counter_series(series);
+  if (id >= last_sample_.size()) last_sample_.resize(id + 1, ~std::uint64_t{0});
+  if (last_sample_[id] == value) return;
+  last_sample_[id] = value;
+  counter_sample(id, value);
+}
+
+void TelemetryBus::on_cycle_end(const CycleView& v) {
+  if (v.draining) return;
+  if (!scan_phase_ && v.phase != GcPhase::kRootEvacuation) {
+    scan_phase_ = true;
+    phase(GcPhase::kParallelScan);
+  }
+  if (v.phase == GcPhase::kDrain) phase(GcPhase::kDrain);
+  on_counter("gray_words", v.free - v.scan);
+}
+
+void TelemetryBus::on_note(Cycle /*at*/, TelemetryCategory cat,
+                           std::string_view text, std::string_view /*where*/) {
+  const char* name = cat == TelemetryCategory::kFault      ? "faults"
+                     : cat == TelemetryCategory::kRecovery ? "recovery"
+                     : cat == TelemetryCategory::kFifo     ? "header-fifo"
+                                                           : to_string(cat);
+  instant(track(name), cat, std::string(text));
+}
 
 void TelemetryBus::begin_collection(std::string label) {
-  if (!enabled_) return;
   epoch_ = cursor_;
   now_ = epoch_;
   TelemetryEpoch e;
@@ -29,7 +75,6 @@ void TelemetryBus::begin_collection(std::string label) {
 }
 
 void TelemetryBus::end_collection(Cycle local_end) {
-  if (!enabled_) return;
   const Cycle global_end = epoch_ + local_end;
   for (CoreId c = 0; c < open_cores_.size(); ++c) close_core_span(c);
   close_lock_span(SbLock::kScan);
@@ -42,9 +87,8 @@ void TelemetryBus::end_collection(Cycle local_end) {
   now_ = cursor_;
 }
 
-void TelemetryBus::core_cycle(CoreId core, CoreActivity activity,
-                              StallReason reason) {
-  if (!enabled_) return;
+void TelemetryBus::on_core_cycle(CoreId core, CoreActivity activity,
+                                 StallReason reason) {
   if (core >= open_cores_.size()) open_cores_.resize(core + 1);
   OpenCoreSpan& st = open_cores_[core];
   if (st.open && st.activity == activity && st.reason == reason &&
@@ -61,31 +105,27 @@ void TelemetryBus::core_cycle(CoreId core, CoreActivity activity,
 }
 
 void TelemetryBus::phase(GcPhase p) {
-  if (!enabled_) return;
   close_phase_span(now_);
   open_phase_.open = true;
   open_phase_.phase = p;
   open_phase_.begin = now_;
 }
 
-void TelemetryBus::lock_acquired(SbLock lock, CoreId core) {
-  if (!enabled_) return;
+void TelemetryBus::on_lock(SbLock lock, CoreId core, bool acquired) {
   OpenLockSpan& st = open_locks_[static_cast<std::size_t>(lock)];
+  if (!acquired) {
+    if (st.open && st.owner == core) close_lock_span(lock);
+    return;
+  }
   if (st.open) close_lock_span(lock);  // same-cycle hand-off
   st.open = true;
   st.owner = core;
   st.begin = now_;
 }
 
-void TelemetryBus::lock_released(SbLock lock, CoreId core) {
-  if (!enabled_) return;
-  OpenLockSpan& st = open_locks_[static_cast<std::size_t>(lock)];
-  if (st.open && st.owner == core) close_lock_span(lock);
-}
-
 void TelemetryBus::instant(std::uint32_t track_id, TelemetryCategory cat,
                            std::string name) {
-  if (!enabled_ || !room()) return;
+  if (!room()) return;
   TelemetryInstant e;
   e.track = track_id;
   e.at = now_;
@@ -95,26 +135,28 @@ void TelemetryBus::instant(std::uint32_t track_id, TelemetryCategory cat,
 }
 
 void TelemetryBus::counter_sample(std::uint32_t series, std::uint64_t value) {
-  if (!enabled_ || !room()) return;
+  if (!room()) return;
   counters_.push_back(TelemetryCounter{series, now_, value});
 }
 
-#endif  // HWGC_NO_TELEMETRY
+namespace {
 
-std::uint32_t TelemetryBus::track(const std::string& name) {
-  for (std::uint32_t i = 0; i < track_names_.size(); ++i) {
-    if (track_names_[i] == name) return i;
-  }
-  track_names_.push_back(name);
-  return static_cast<std::uint32_t>(track_names_.size() - 1);
+/// Index of `name` in `names`, appended on first use.
+std::uint32_t intern(std::vector<std::string>& names, std::string_view name) {
+  const auto it = std::find(names.begin(), names.end(), name);
+  const auto index = static_cast<std::uint32_t>(it - names.begin());
+  if (it == names.end()) names.emplace_back(name);
+  return index;
 }
 
-std::uint32_t TelemetryBus::counter_series(const std::string& name) {
-  for (std::uint32_t i = 0; i < counter_names_.size(); ++i) {
-    if (counter_names_[i] == name) return i;
-  }
-  counter_names_.push_back(name);
-  return static_cast<std::uint32_t>(counter_names_.size() - 1);
+}  // namespace
+
+std::uint32_t TelemetryBus::track(std::string_view name) {
+  return intern(track_names_, name);
+}
+
+std::uint32_t TelemetryBus::counter_series(std::string_view name) {
+  return intern(counter_names_, name);
 }
 
 std::uint32_t TelemetryBus::core_track(CoreId core) {
@@ -123,23 +165,6 @@ std::uint32_t TelemetryBus::core_track(CoreId core) {
     core_tracks_[core] = track("core " + std::to_string(core)) + 1;
   }
   return core_tracks_[core] - 1;
-}
-
-void TelemetryBus::clear() {
-  spans_.clear();
-  instants_.clear();
-  counters_.clear();
-  epochs_.clear();
-  track_names_.clear();
-  counter_names_.clear();
-  core_tracks_.clear();
-  open_cores_.clear();
-  open_locks_[0] = OpenLockSpan{};
-  open_locks_[1] = OpenLockSpan{};
-  open_phase_ = OpenPhaseSpan{};
-  phase_track_ = 0;
-  epoch_ = cursor_ = now_ = 0;
-  dropped_ = 0;
 }
 
 void TelemetryBus::push_span(std::uint32_t track_id, Cycle begin, Cycle end,

@@ -16,11 +16,11 @@
 // Chrome-trace/Perfetto timeline; the MetricsRegistry (metrics.hpp)
 // aggregates the per-cycle statistics across collections and runs.
 //
-// Overhead contract: the bus is pure observation — it never feeds back
-// into simulated timing, so cycle counts are bit-identical with and
-// without it (tested in tests/test_telemetry.cpp). Publishing is guarded
-// by an `enabled()` flag; with HWGC_NO_TELEMETRY defined every publish
-// method additionally compiles to an empty inline body.
+// The bus is a CycleObserver (sim/observer.hpp): attached to a collection
+// it records; it never feeds back into simulated timing, so cycle counts
+// are bit-identical with and without it (tested in
+// tests/test_telemetry.cpp). It records every cycle's activity, so it does
+// not absorb quiescent windows: with a bus attached the clock loop ticks.
 //
 // Time base: each collection runs its own clock from cycle 0. The bus maps
 // collection-local cycles onto one monotone global timeline: a
@@ -31,60 +31,14 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/counters.hpp"
+#include "sim/observer.hpp"
 #include "sim/types.hpp"
 
 namespace hwgc {
-
-/// Collection phases published by the coprocessor clock loop.
-enum class GcPhase : std::uint8_t { kRootEvacuation, kParallelScan, kDrain };
-
-constexpr const char* to_string(GcPhase p) noexcept {
-  switch (p) {
-    case GcPhase::kRootEvacuation: return "root-evacuation";
-    case GcPhase::kParallelScan: return "parallel-scan";
-    case GcPhase::kDrain: return "drain";
-  }
-  return "?";
-}
-
-/// What a core did during one clock cycle (kStall carries a StallReason).
-enum class CoreActivity : std::uint8_t { kBusy, kIdle, kStall };
-
-/// The two SB registers whose hold spans are traced.
-enum class SbLock : std::uint8_t { kScan = 0, kFree = 1 };
-
-constexpr const char* to_string(SbLock l) noexcept {
-  return l == SbLock::kScan ? "scan-lock" : "free-lock";
-}
-
-/// Event category, carried into the exported trace's `cat` field.
-enum class TelemetryCategory : std::uint8_t {
-  kPhase,
-  kCore,
-  kLock,
-  kFifo,
-  kMemory,
-  kFault,
-  kRecovery,
-  kRuntime,
-};
-
-constexpr const char* to_string(TelemetryCategory c) noexcept {
-  switch (c) {
-    case TelemetryCategory::kPhase: return "phase";
-    case TelemetryCategory::kCore: return "core";
-    case TelemetryCategory::kLock: return "lock";
-    case TelemetryCategory::kFifo: return "fifo";
-    case TelemetryCategory::kMemory: return "memory";
-    case TelemetryCategory::kFault: return "fault";
-    case TelemetryCategory::kRecovery: return "recovery";
-    case TelemetryCategory::kRuntime: return "runtime";
-  }
-  return "?";
-}
 
 /// A duration event on one track, global cycles, half-open [begin, end).
 struct TelemetrySpan {
@@ -117,26 +71,41 @@ struct TelemetryEpoch {
   std::string label;
 };
 
-class TelemetryBus {
+class TelemetryBus final : public CycleObserver {
  public:
-  TelemetryBus() = default;
+  /// Records at most `max_events` spans, instants and counter samples in
+  /// total; later ones are counted in dropped().
+  explicit TelemetryBus(std::size_t max_events = std::size_t{1} << 20)
+      : max_events_(max_events) {}
 
-  void enable(std::size_t max_events = std::size_t{1} << 20) {
-    enabled_ = true;
-    max_events_ = max_events;
-  }
-  void disable() noexcept { enabled_ = false; }
-  bool enabled() const noexcept { return enabled_; }
+  // --- CycleObserver ------------------------------------------------------
 
-  /// True when the library was built with telemetry publishing compiled in
-  /// (i.e. without HWGC_NO_TELEMETRY).
-  static constexpr bool compiled_in() noexcept {
-#ifdef HWGC_NO_TELEMETRY
-    return false;
-#else
-    return true;
-#endif
-  }
+  /// Opens an epoch labeled "collection (N cores)", interns the main
+  /// tracks and counter series in canonical order and enters root
+  /// evacuation at local cycle 0.
+  void on_collection_begin(std::uint32_t cores) override;
+  /// Closes the epoch: with an abort instant on the coprocessor track, or
+  /// with the flip instant at `now`.
+  void on_collection_end(Cycle now, const CollectionAbort* abort) override;
+  /// Clock edge: stamps all events published during this simulated cycle.
+  void on_cycle_begin(Cycle local) override { now_ = epoch_ + local; }
+  /// Per-core per-cycle activity; consecutive same-state cycles coalesce
+  /// into one span. A clock gap (a fail-stopped core missing its clock)
+  /// closes the open span, so holes are visible in the timeline.
+  void on_core_cycle(CoreId core, CoreActivity activity,
+                     StallReason reason) override;
+  /// A lock hold spans from its grant to its release (a same-cycle
+  /// hand-off closes the previous holder's span).
+  void on_lock(SbLock lock, CoreId core, bool acquired) override;
+  /// Samples on change: a value equal to the series' previous sample in
+  /// this collection is not recorded.
+  void on_counter(std::string_view series, std::uint64_t value) override;
+  /// Publishes the phase transitions and the gray-word counter.
+  void on_cycle_end(const CycleView& view) override;
+  /// An instant on the category's track ("faults", "recovery",
+  /// "header-fifo"), stamped with the current cycle.
+  void on_note(Cycle at, TelemetryCategory cat, std::string_view text,
+               std::string_view where) override;
 
   // --- time base ----------------------------------------------------------
 
@@ -145,20 +114,14 @@ class TelemetryBus {
   /// one epoch per attempt).
   void begin_collection(std::string label);
 
-  /// Clock edge: stamps all events published during this simulated cycle.
-  void begin_cycle(Cycle local) noexcept { now_ = epoch_ + local; }
-
   /// Closes the epoch at local cycle `local_end`: flushes every open core,
   /// lock and phase span and advances the global cursor.
   void end_collection(Cycle local_end);
 
-  /// Global cycle the next published event will be stamped with.
-  Cycle now() const noexcept { return now_; }
-
   // --- track / counter-series interning ------------------------------------
 
-  std::uint32_t track(const std::string& name);
-  std::uint32_t counter_series(const std::string& name);
+  std::uint32_t track(std::string_view name);
+  std::uint32_t counter_series(std::string_view name);
   std::uint32_t core_track(CoreId core);
 
   const std::vector<std::string>& track_names() const noexcept {
@@ -168,19 +131,10 @@ class TelemetryBus {
     return counter_names_;
   }
 
-  // --- publishers (all no-ops when disabled) -------------------------------
-
-  /// Per-core per-cycle activity; consecutive same-state cycles coalesce
-  /// into one span. A clock gap (a fail-stopped core missing its clock)
-  /// closes the open span, so holes are visible in the timeline.
-  void core_cycle(CoreId core, CoreActivity activity,
-                  StallReason reason = StallReason::kNone);
+  // --- publishers ----------------------------------------------------------
 
   /// Phase transition at the current cycle; closes the previous phase.
   void phase(GcPhase p);
-
-  void lock_acquired(SbLock lock, CoreId core);
-  void lock_released(SbLock lock, CoreId core);
 
   void instant(std::uint32_t track_id, TelemetryCategory cat,
                std::string name);
@@ -202,8 +156,6 @@ class TelemetryBus {
   /// Events discarded after the max_events cap was hit (never silently:
   /// exporters surface this number).
   std::uint64_t dropped() const noexcept { return dropped_; }
-
-  void clear();
 
  private:
   struct OpenCoreSpan {
@@ -240,8 +192,7 @@ class TelemetryBus {
 
   static std::string activity_name(CoreActivity a, StallReason r);
 
-  bool enabled_ = false;
-  std::size_t max_events_ = std::size_t{1} << 20;
+  std::size_t max_events_;
   Cycle epoch_ = 0;   ///< global cycle local 0 of the current epoch maps to
   Cycle cursor_ = 0;  ///< first free global cycle after everything recorded
   Cycle now_ = 0;
@@ -260,6 +211,10 @@ class TelemetryBus {
   OpenLockSpan open_locks_[2];
   OpenPhaseSpan open_phase_;
   std::uint32_t phase_track_ = 0;  ///< +1; 0 = not yet interned
+
+  // Per-collection observer state.
+  std::vector<std::uint64_t> last_sample_;  ///< series id -> last value
+  bool scan_phase_ = false;  ///< parallel-scan published this collection
 };
 
 }  // namespace hwgc

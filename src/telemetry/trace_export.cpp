@@ -1,30 +1,10 @@
 #include "telemetry/trace_export.hpp"
 
-#include <cstdio>
-#include <fstream>
+#include "telemetry/jsonl.hpp"
 
 namespace hwgc {
 
 namespace {
-
-void append_escaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
 
 /// Catapult reserved color name for a span, keyed off its name/category —
 /// this is what makes stall reasons visually distinct in the timeline.
@@ -179,12 +159,7 @@ std::string chrome_trace_json(const TelemetryBus& bus,
 
 bool write_chrome_trace(const TelemetryBus& bus, const std::string& path,
                         const ChromeTraceOptions& opt) {
-  std::ofstream f(path, std::ios::binary);
-  if (!f) return false;
-  const std::string json = chrome_trace_json(bus, opt);
-  f.write(json.data(), static_cast<std::streamsize>(json.size()));
-  f.flush();
-  return f.good();
+  return write_jsonl_file(path, chrome_trace_json(bus, opt));
 }
 
 }  // namespace hwgc

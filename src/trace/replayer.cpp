@@ -254,8 +254,8 @@ ReplayResult replay_trace(const Trace& trace, const ReplayConfig& cfg) {
     hc.torture.seed = hc.schedule_seed;
     plugin = std::make_unique<HarnessPlugin>(cfg.collector, hc);
     rt.set_collector(plugin.get());
-  } else if (cfg.signal_trace != nullptr) {
-    rt.set_signal_trace(cfg.signal_trace);
+  } else {
+    rt.set_cycle_observer(cfg.observer);
   }
 
   OracleObserver oracle(cfg.collector, plugin.get(), result);

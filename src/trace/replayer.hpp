@@ -116,9 +116,9 @@ struct ReplayConfig {
   /// Re-record the replay through a fresh TraceRecorder (round-trip
   /// identity proof); the result lands in ReplayResult::rerecorded.
   bool rerecord = false;
-  /// Sampled by every coprocessor-path collection when non-null (the
+  /// Observes every coprocessor-path collection when non-null (the
   /// SignalTrace bit-identity proof). Ignored for harness collectors.
-  SignalTrace* signal_trace = nullptr;
+  CycleObserver* observer = nullptr;
 };
 
 struct ReplayResult {

@@ -366,7 +366,9 @@ GraphPlan plan_cup(double scale, std::uint64_t seed) {
 
 GraphPlan make_benchmark_plan(BenchmarkId id, double scale,
                               std::uint64_t seed) {
-  if (scale <= 0.0) throw std::invalid_argument("scale must be positive");
+  if (const std::string e = scale_error(scale); !e.empty()) {
+    throw std::invalid_argument("scale " + e);
+  }
   switch (id) {
     case BenchmarkId::kCompress: return plan_compress(scale, seed);
     case BenchmarkId::kCup: return plan_cup(scale, seed);

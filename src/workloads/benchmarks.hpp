@@ -27,6 +27,7 @@
 #pragma once
 
 #include <optional>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -53,11 +54,24 @@ const std::vector<BenchmarkId>& all_benchmarks();
 /// Parses a benchmark name as printed by benchmark_name; nullopt on junk.
 std::optional<BenchmarkId> parse_benchmark(std::string_view name);
 
+/// Largest live-set scale a benchmark plan accepts. The live set, and with
+/// it the heap, grows linearly with the scale (javac at scale 4 peaks near
+/// 230 MiB); every CLI checks its scale against this before building.
+inline constexpr int kMaxScale = 32;
+
+/// Empty when `scale` lies in (0, kMaxScale]; otherwise the range text a
+/// CLI appends to its flag name ("must be in (0, 32]").
+inline std::string scale_error(double scale) {
+  if (scale > 0.0 && scale <= kMaxScale) return {};
+  return "must be in (0, " + std::to_string(kMaxScale) + "]";
+}
+
 /// Builds the graph plan for one benchmark. `scale` multiplies the live-set
 /// size (1.0 reproduces paper-magnitude collection cycles; benches default
 /// to smaller scales for runtime, which does not change the shape of the
 /// results — the paper notes heap size had little influence). `seed` varies
-/// the pseudo-random details of the shape.
+/// the pseudo-random details of the shape. Throws std::invalid_argument
+/// naming `scale` outside (0, kMaxScale], before building anything.
 GraphPlan make_benchmark_plan(BenchmarkId id, double scale = 1.0,
                               std::uint64_t seed = 42);
 

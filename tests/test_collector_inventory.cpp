@@ -14,7 +14,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <regex>
 #include <sstream>
 #include <string>
 
@@ -83,17 +82,24 @@ void check_prose_counts(const std::string& path) {
   ASSERT_LE(kCollectorCount, 12u) << "extend the number-word table";
   const std::string expect = words[kCollectorCount - 6];
 
-  const std::string text = read_file(path);
-  const std::regex phrase(
-      "(six|seven|eight|nine|ten|eleven|twelve)[ -][Cc]ollector",
-      std::regex_constants::icase);
-  for (auto it = std::sregex_iterator(text.begin(), text.end(), phrase);
-       it != std::sregex_iterator(); ++it) {
-    std::string word = (*it)[1].str();
-    for (char& ch : word) ch = static_cast<char>(std::tolower(ch));
-    EXPECT_EQ(word, expect)
-        << path << ": stale collector count in phrase '" << it->str()
-        << "' — the enum has " << kCollectorCount << " collectors";
+  // Every "<number-word>[ -]collector" phrase, case-insensitively. A
+  // hand scan rather than std::regex, whose libstdc++ internals trip
+  // -Wmaybe-uninitialized in the sanitized -Werror build.
+  std::string text = read_file(path);
+  for (char& ch : text) ch = static_cast<char>(std::tolower(ch));
+  for (const std::string word : words) {
+    for (std::size_t at = text.find(word); at != std::string::npos;
+         at = text.find(word, at + 1)) {
+      const std::size_t sep = at + word.size();
+      if (sep >= text.size() || (text[sep] != ' ' && text[sep] != '-') ||
+          text.compare(sep + 1, 9, "collector") != 0) {
+        continue;
+      }
+      EXPECT_EQ(word, expect)
+          << path << ": stale collector count in phrase '"
+          << text.substr(at, word.size() + 10) << "' — the enum has "
+          << kCollectorCount << " collectors";
+    }
   }
 }
 

@@ -10,6 +10,7 @@
 
 #include "baselines/sequential_cheney.hpp"
 #include "core/coprocessor.hpp"
+#include "sim/trace.hpp"
 #include "heap/verifier.hpp"
 #include "workloads/benchmarks.hpp"
 #include "workloads/random_graph.hpp"

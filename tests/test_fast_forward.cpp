@@ -10,6 +10,9 @@
 // cases in particular pin the ISSUE requirement that watchdog budgets
 // account for skipped cycles: a hang detected by jumping straight to the
 // watchdog boundary must abort at exactly the cycle a ticked run aborts.
+//
+// The same harness proves observation pure (CycleObserver.ObservationIsPure):
+// attaching any recorder changes nothing the hardware does.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -22,10 +25,12 @@
 #include "fault/fault_injector.hpp"
 #include "fault/fault_plan.hpp"
 #include "heap/heap.hpp"
+#include "profile/cycle_profiler.hpp"
 #include "sim/abort.hpp"
 #include "sim/config.hpp"
 #include "sim/counters.hpp"
 #include "sim/trace.hpp"
+#include "telemetry/telemetry_bus.hpp"
 #include "workloads/benchmarks.hpp"
 #include "workloads/graph_plan.hpp"
 #include "workloads/random_graph.hpp"
@@ -47,24 +52,21 @@ struct RunOutcome {
 };
 
 RunOutcome run_once(const GraphPlan& plan, SimConfig cfg, bool fast_forward,
-                    SignalTrace& trace, ScheduleTrace& sched,
-                    const FaultPlan* faults = nullptr) {
+                    CycleObserver* obs, const FaultPlan* faults = nullptr) {
   cfg.coprocessor.fast_forward = fast_forward;
   Workload w = materialize(plan);
-  trace.enable();
   Coprocessor coproc(cfg, *w.heap);
   RunOutcome out;
   if (faults == nullptr) {
-    out.stats = coproc.collect(&trace, &sched);
+    out.stats = coproc.collect(obs);
   } else {
     FaultInjector inj(*faults);
     inj.attach_memory(&w.heap->memory());
-    inj.attach_trace(&trace);
     std::vector<CoreId> active(cfg.coprocessor.num_cores);
     std::iota(active.begin(), active.end(), CoreId{0});
     inj.begin_attempt(0, active);
     try {
-      out.stats = coproc.collect(&trace, &sched, &inj);
+      out.stats = coproc.collect(obs, &inj);
     } catch (const CollectionAbort& abort) {
       out.aborted = true;
       out.reason = abort.reason();
@@ -145,27 +147,36 @@ void expect_schedules_equal(const ScheduleTrace& t, const ScheduleTrace& f) {
   }
 }
 
+void expect_outcomes_equal(const RunOutcome& t, const RunOutcome& f) {
+  EXPECT_EQ(t.aborted, f.aborted);
+  if (t.aborted && f.aborted) {
+    EXPECT_EQ(t.reason, f.reason);
+    EXPECT_EQ(t.suspect, f.suspect);
+    EXPECT_EQ(t.abort_at, f.abort_at);
+  } else {
+    expect_stats_equal(t.stats, f.stats);
+    EXPECT_EQ(t.alloc_ptr, f.alloc_ptr);
+    EXPECT_EQ(t.image, f.image);
+  }
+  EXPECT_EQ(t.fault_log, f.fault_log);
+}
+
 /// Runs the plan ticked and fast-forwarded, asserts full observational
 /// equality, and returns the ticked outcome for extra assertions.
 RunOutcome expect_equivalent(const GraphPlan& plan, SimConfig cfg,
                              const FaultPlan* faults = nullptr) {
   SignalTrace trace_t, trace_f;
   ScheduleTrace sched_t, sched_f;
+  ObserverFanout obs_t, obs_f;
+  obs_t.add(&trace_t);
+  obs_t.add(&sched_t);
+  obs_f.add(&trace_f);
+  obs_f.add(&sched_f);
   const RunOutcome ticked =
-      run_once(plan, cfg, /*fast_forward=*/false, trace_t, sched_t, faults);
+      run_once(plan, cfg, /*fast_forward=*/false, &obs_t, faults);
   const RunOutcome ffwd =
-      run_once(plan, cfg, /*fast_forward=*/true, trace_f, sched_f, faults);
-  EXPECT_EQ(ticked.aborted, ffwd.aborted);
-  if (ticked.aborted && ffwd.aborted) {
-    EXPECT_EQ(ticked.reason, ffwd.reason);
-    EXPECT_EQ(ticked.suspect, ffwd.suspect);
-    EXPECT_EQ(ticked.abort_at, ffwd.abort_at);
-  } else {
-    expect_stats_equal(ticked.stats, ffwd.stats);
-    EXPECT_EQ(ticked.alloc_ptr, ffwd.alloc_ptr);
-    EXPECT_EQ(ticked.image, ffwd.image);
-  }
-  EXPECT_EQ(ticked.fault_log, ffwd.fault_log);
+      run_once(plan, cfg, /*fast_forward=*/true, &obs_f, faults);
+  expect_outcomes_equal(ticked, ffwd);
   expect_traces_equal(trace_t, trace_f);
   expect_schedules_equal(sched_t, sched_f);
   return ticked;
@@ -281,11 +292,9 @@ TEST(FastForward, ScheduleTraceCountsSkippedCycles) {
   SimConfig cfg = config_with_cores(2);
   cfg.memory.latency += 20;
   cfg.memory.header_latency += 20;
-  SignalTrace trace;
   ScheduleTrace sched;
   const GraphPlan plan = make_benchmark_plan(BenchmarkId::kJlisp, 0.05);
-  const RunOutcome ff =
-      run_once(plan, cfg, /*fast_forward=*/true, trace, sched);
+  const RunOutcome ff = run_once(plan, cfg, /*fast_forward=*/true, &sched);
   EXPECT_GT(sched.cycles_recorded(), 0u);
   EXPECT_LE(sched.cycles_recorded(), ff.stats.total_cycles);
   for (std::size_t i = 1; i < sched.orders().size(); ++i) {
@@ -490,6 +499,50 @@ TEST(FastForward, SeededFaultPlansIdentical) {
     cfg.coprocessor.watchdog_cycles = 50'000;
     expect_equivalent(make_benchmark_plan(BenchmarkId::kJlisp, 0.05), cfg,
                       &plan);
+  }
+}
+
+// --- observation is pure ----------------------------------------------------
+
+TEST(CycleObserver, ObservationIsPure) {
+  // No recorder, each of the four, and all four at once must see the same
+  // hardware: stats, abort and fired-fault log. The stuck-busy row pins
+  // that reading the ScanState for the busy_cores signal never fires the
+  // fault — the hardware's termination check does, at cycle 5004.
+  FaultEvent stuck;
+  stuck.kind = FaultKind::kStuckBusy;
+  stuck.target_core = 2;
+  stuck.trigger = 100;
+  FaultEvent failstop;
+  failstop.kind = FaultKind::kCoreFailStop;
+  failstop.target_core = 1;
+  failstop.when_holding_free = true;
+  const FaultPlan stuck_plan{{stuck}};
+  const FaultPlan failstop_plan{{failstop}};
+  const GraphPlan plan = make_benchmark_plan(BenchmarkId::kJlisp, 0.05);
+  SimConfig cfg = config_with_cores(4);
+  cfg.coprocessor.watchdog_cycles = 20'000;
+  for (const FaultPlan* faults : {static_cast<const FaultPlan*>(nullptr),
+                                  &stuck_plan, &failstop_plan}) {
+    SCOPED_TRACE(faults == nullptr ? "no fault" : faults->summary());
+    const RunOutcome bare = run_once(plan, cfg, true, nullptr, faults);
+    if (faults == &stuck_plan) {
+      ASSERT_EQ(bare.fault_log.size(), 1u);
+      EXPECT_NE(bare.fault_log[0].find("cycle 5004:"), std::string::npos)
+          << bare.fault_log[0];
+    }
+    for (int rec = 0; rec < 5; ++rec) {
+      SignalTrace trace;
+      ScheduleTrace sched;
+      TelemetryBus bus;
+      CycleProfiler profiler;
+      CycleObserver* each[] = {&trace, &sched, &bus, &profiler};
+      ObserverFanout all;
+      for (CycleObserver* o : each) all.add(o);
+      SCOPED_TRACE("recorder " + std::to_string(rec));
+      expect_outcomes_equal(
+          bare, run_once(plan, cfg, true, rec < 4 ? each[rec] : &all, faults));
+    }
   }
 }
 

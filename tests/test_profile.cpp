@@ -30,8 +30,7 @@ CycleProfile profile_one(BenchmarkId id, std::uint32_t cores,
   cfg.heap.semispace_words = w.heap->layout().semispace_words();
   Coprocessor coproc(cfg, *w.heap);
   CycleProfiler profiler;
-  const GcCycleStats stats =
-      coproc.collect(nullptr, nullptr, nullptr, nullptr, &profiler);
+  const GcCycleStats stats = coproc.collect(&profiler);
   if (stats_out != nullptr) *stats_out = stats;
   return profiler.take_profile();
 }
@@ -70,20 +69,20 @@ TEST(CycleProfiler, BindingRulePerCycle) {
   p.begin_collection(3);
 
   // Any compute wins, whatever the other cores report.
-  p.record_work(0);
-  p.record_stall(1, StallReason::kScanLock);
-  p.record_idle(2);
+  p.on_core_cycle(0, CoreActivity::kBusy, StallReason::kNone);
+  p.on_core_cycle(1, CoreActivity::kStall, StallReason::kScanLock);
+  p.on_core_cycle(2, CoreActivity::kIdle, StallReason::kNone);
   p.end_cycle();
 
   // No compute: most-populous class among clocked cores binds...
-  p.record_stall(0, StallReason::kBodyLoad);
-  p.record_stall(1, StallReason::kBodyLoad);
-  p.record_idle(2);
+  p.on_core_cycle(0, CoreActivity::kStall, StallReason::kBodyLoad);
+  p.on_core_cycle(1, CoreActivity::kStall, StallReason::kBodyLoad);
+  p.on_core_cycle(2, CoreActivity::kIdle, StallReason::kNone);
   p.end_cycle();
 
   // ...ties break toward the smaller enum value (scan-wait over mem-port).
-  p.record_stall(0, StallReason::kBodyLoad);
-  p.record_stall(1, StallReason::kScanLock);
+  p.on_core_cycle(0, CoreActivity::kStall, StallReason::kBodyLoad);
+  p.on_core_cycle(1, CoreActivity::kStall, StallReason::kScanLock);
   p.end_cycle();  // core 2 unreported -> idle-deconfigured
 
   // No clocked core at all: idle-deconfigured binds...
@@ -111,22 +110,21 @@ TEST(CycleProfiler, BindingRulePerCycle) {
 }
 
 TEST(CycleProfiler, AbsorbEqualsRepeatedEndCycle) {
-  // absorb(cls, k) must be exactly equivalent to k end_cycle() calls with
+  // end_cycle(k) must be exactly equivalent to k end_cycle() calls with
   // the same per-core reports — the fast-forward soundness argument.
   CycleProfiler bulk, ticked;
   bulk.begin_collection(3);
   ticked.begin_collection(3);
 
-  const std::vector<StallClass> window = {StallClass::kSbScanWait,
-                                          StallClass::kWorklistStarved,
-                                          StallClass::kIdleDeconfigured};
-  bulk.absorb(window, 7);
+  bulk.on_core_cycle(0, CoreActivity::kStall, StallReason::kScanLock);
+  bulk.on_core_cycle(1, CoreActivity::kIdle, StallReason::kNone);
+  bulk.end_cycle(7);  // core 2 unreported
   for (int i = 0; i < 7; ++i) {
-    ticked.record_stall(0, StallReason::kScanLock);
-    ticked.record_idle(1);
+    ticked.on_core_cycle(0, CoreActivity::kStall, StallReason::kScanLock);
+    ticked.on_core_cycle(1, CoreActivity::kIdle, StallReason::kNone);
     ticked.end_cycle();  // core 2 unreported
   }
-  bulk.absorb_drain(4);
+  bulk.drain_cycle(4);
   for (int i = 0; i < 4; ++i) ticked.drain_cycle();
 
   bulk.end_collection();
@@ -137,7 +135,7 @@ TEST(CycleProfiler, AbsorbEqualsRepeatedEndCycle) {
 TEST(CycleProfiler, MarkUnprofiledYieldsValidEmptyHistorySlot) {
   CycleProfiler p;
   p.begin_collection(4);
-  p.record_work(0);
+  p.on_core_cycle(0, CoreActivity::kBusy, StallReason::kNone);
   p.end_cycle();
   p.mark_unprofiled();  // recovery's sequential fallback discards all that
   const CycleProfile prof = p.take_profile();

@@ -19,6 +19,7 @@
 #include "profile/cycle_profiler.hpp"
 #include "service/heap_service.hpp"
 #include "service/service_metrics.hpp"
+#include "sim/trace.hpp"
 #include "workloads/benchmarks.hpp"
 
 namespace hwgc {
@@ -53,9 +54,12 @@ Observed run(BenchmarkId id, std::uint64_t seed, std::uint32_t cores,
   SignalTrace signals;
   ScheduleTrace schedule;
   CycleProfiler profiler;
+  ObserverFanout observers;
+  observers.add(&signals);
+  observers.add(&schedule);
+  if (with_profiler) observers.add(&profiler);
   Observed o;
-  o.stats = coproc.collect(&signals, &schedule, nullptr, nullptr,
-                           with_profiler ? &profiler : nullptr);
+  o.stats = coproc.collect(observers.target());
   const std::string path = temp_path("overhead_signals.csv");
   EXPECT_TRUE(signals.write_csv(path));
   o.signal_csv = file_bytes(path);

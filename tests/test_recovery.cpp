@@ -13,6 +13,7 @@
 #include "fault/recovery.hpp"
 #include "heap/verifier.hpp"
 #include "runtime/runtime.hpp"
+#include "sim/trace.hpp"
 #include "workloads/benchmarks.hpp"
 
 namespace hwgc {
@@ -341,6 +342,39 @@ TEST(Runtime, FaultConfigRoutesCollectionThroughRecovery) {
   const RecoveryReport& report = rt.recovery_history()[0];
   EXPECT_TRUE(report.ok);
   EXPECT_EQ(report.faults_injected, 3u);
+}
+
+TEST(Runtime, SignalTraceSeesFaultAndRecoveryRuns) {
+  // A fault-injected collection runs through the RecoveringCollector; the
+  // runtime's observer must follow it there: the attempts' signal samples
+  // and the fault and recovery notes all land in the attached trace.
+  SimConfig cfg;
+  cfg.coprocessor.num_cores = 2;
+  cfg.fault.seed = 7;
+  cfg.fault.events = 4;
+  cfg.fault.persistent_fraction = 1.0;
+  cfg.fault.class_mask = 1u << static_cast<int>(FaultKind::kCoreFailStop);
+  cfg.fault.trigger_scale = 48;
+  cfg.recovery.max_retries = 1;
+  cfg.recovery.allow_deconfigure = false;
+  Runtime rt(1 << 16, cfg);
+  SignalTrace trace;
+  rt.set_cycle_observer(&trace);
+  Runtime::Ref a = rt.alloc(2, 1);
+  Runtime::Ref b = rt.alloc(0, 4);
+  rt.set_ptr(a, 0, b);
+  rt.set_ptr(a, 1, a);
+  rt.collect();
+  ASSERT_EQ(rt.recovery_history().size(), 1u);
+  ASSERT_TRUE(rt.recovery_history()[0].ok);
+  EXPECT_FALSE(trace.events().empty());
+  std::size_t fault_notes = 0, recovery_notes = 0;
+  for (const auto& [cycle, text] : trace.notes()) {
+    fault_notes += text.starts_with("fault: attempt ") ? 1 : 0;
+    recovery_notes += text.starts_with("recovery: ") ? 1 : 0;
+  }
+  EXPECT_EQ(fault_notes, rt.recovery_history()[0].fault_log.size());
+  EXPECT_GE(recovery_notes, 2u);  // an aborted attempt, then the fallback
 }
 
 }  // namespace

@@ -126,9 +126,9 @@ TEST(SchedulePolicy, ParseRoundTripsAllNames) {
 
 TEST(ScheduleTrace, RingKeepsOnlyTheTail) {
   ScheduleTrace trace(2);
-  trace.record(10, {0, 1});
-  trace.record(11, {1, 0});
-  trace.record(12, {0, 1});
+  trace.record(10, std::vector<CoreId>{0, 1});
+  trace.record(11, std::vector<CoreId>{1, 0});
+  trace.record(12, std::vector<CoreId>{0, 1});
   EXPECT_EQ(trace.cycles_recorded(), 3u);
   ASSERT_EQ(trace.orders().size(), 2u);
   EXPECT_EQ(trace.orders().front().first, 11u);
@@ -175,8 +175,8 @@ TEST(FuzzCase, JitteredScheduleTraceIsSeedDeterministic) {
   ScheduleTrace t1(1 << 20), t2(1 << 20);
   Coprocessor c1(cfg, *w1.heap);
   Coprocessor c2(cfg, *w2.heap);
-  const GcCycleStats s1 = c1.collect(nullptr, &t1);
-  const GcCycleStats s2 = c2.collect(nullptr, &t2);
+  const GcCycleStats s1 = c1.collect(&t1);
+  const GcCycleStats s2 = c2.collect(&t2);
 
   EXPECT_EQ(s1.total_cycles, s2.total_cycles);
   EXPECT_EQ(s1.mem_requests, s2.mem_requests);

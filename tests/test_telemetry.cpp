@@ -21,30 +21,15 @@
 namespace hwgc {
 namespace {
 
-TEST(TelemetryBus, DisabledBusRecordsNothing) {
-  TelemetryBus bus;
-  bus.begin_collection("x");
-  bus.begin_cycle(0);
-  bus.core_cycle(0, CoreActivity::kBusy);
-  bus.phase(GcPhase::kRootEvacuation);
-  bus.lock_acquired(SbLock::kScan, 0);
-  bus.counter_sample(bus.counter_series("c"), 1);
-  bus.end_collection(1);
-  EXPECT_TRUE(bus.spans().empty());
-  EXPECT_TRUE(bus.instants().empty());
-  EXPECT_TRUE(bus.counters().empty());
-}
-
 TEST(TelemetryBus, CoalescesConsecutiveCoreCycles) {
   TelemetryBus bus;
-  bus.enable();
   bus.begin_collection("coalesce");
   for (Cycle t = 0; t < 5; ++t) {
-    bus.begin_cycle(t);
-    bus.core_cycle(0, CoreActivity::kBusy);
+    bus.on_cycle_begin(t);
+    bus.on_core_cycle(0, CoreActivity::kBusy, StallReason::kNone);
   }
-  bus.begin_cycle(5);
-  bus.core_cycle(0, CoreActivity::kStall, StallReason::kScanLock);
+  bus.on_cycle_begin(5);
+  bus.on_core_cycle(0, CoreActivity::kStall, StallReason::kScanLock);
   bus.end_collection(6);
   ASSERT_EQ(bus.spans().size(), 2u);
   EXPECT_EQ(bus.spans()[0].name, "busy");
@@ -57,12 +42,11 @@ TEST(TelemetryBus, CoalescesConsecutiveCoreCycles) {
 
 TEST(TelemetryBus, LockSpanNamesTheOwner) {
   TelemetryBus bus;
-  bus.enable();
   bus.begin_collection("locks");
-  bus.begin_cycle(2);
-  bus.lock_acquired(SbLock::kFree, 3);
-  bus.begin_cycle(4);
-  bus.lock_released(SbLock::kFree, 3);
+  bus.on_cycle_begin(2);
+  bus.on_lock(SbLock::kFree, 3, true);
+  bus.on_cycle_begin(4);
+  bus.on_lock(SbLock::kFree, 3, false);
   bus.end_collection(5);
   const std::uint32_t free_track = bus.track("free-lock");
   bool found = false;
@@ -82,8 +66,8 @@ TEST(TelemetryBus, EpochsConcatenateOntoOneTimeline) {
   SimConfig cfg;
   cfg.coprocessor.num_cores = 2;
   TelemetryBus bus;
-  Coprocessor(cfg, *w1.heap).collect(nullptr, nullptr, nullptr, &bus);
-  Coprocessor(cfg, *w2.heap).collect(nullptr, nullptr, nullptr, &bus);
+  Coprocessor(cfg, *w1.heap).collect(&bus);
+  Coprocessor(cfg, *w2.heap).collect(&bus);
   ASSERT_EQ(bus.epochs().size(), 2u);
   EXPECT_GT(bus.epochs()[0].end, bus.epochs()[0].begin);
   EXPECT_GE(bus.epochs()[1].begin, bus.epochs()[0].end);
@@ -103,7 +87,7 @@ TEST(TelemetryBus, CollectionPublishesPhasesLocksAndAllCoreTracks) {
   cfg.coprocessor.num_cores = 4;
   TelemetryBus bus;
   Coprocessor coproc(cfg, *w.heap);
-  coproc.collect(nullptr, nullptr, nullptr, &bus);
+  coproc.collect(&bus);
 
   const auto& names = bus.track_names();
   ASSERT_GE(names.size(), 7u);  // coprocessor + 4 cores + 2 locks
@@ -143,7 +127,7 @@ TEST(Telemetry, ObservationDoesNotChangeTiming) {
     Coprocessor c2(cfg, *w2.heap);
     TelemetryBus bus;
     const GcCycleStats with =
-        c1.collect(nullptr, nullptr, nullptr, &bus);
+        c1.collect(&bus);
     const GcCycleStats without = c2.collect();
     EXPECT_EQ(with.total_cycles, without.total_cycles)
         << "telemetry must be non-intrusive (" << benchmark_name(id) << ")";
@@ -179,7 +163,7 @@ TEST(ChromeTrace, ExportIsByteStableAcrossIdenticalRuns) {
     SimConfig cfg;
     cfg.coprocessor.num_cores = 4;
     TelemetryBus bus;
-    Coprocessor(cfg, *w.heap).collect(nullptr, nullptr, nullptr, &bus);
+    Coprocessor(cfg, *w.heap).collect(&bus);
     return chrome_trace_json(bus);
   };
   const std::string a = run();
@@ -219,26 +203,25 @@ void expect_matches_golden(const std::string& text, const std::string& name) {
 /// handles: phases, busy/stall spans, a lock hold, an instant, a counter.
 TelemetryBus mini_bus() {
   TelemetryBus bus;
-  bus.enable();
   bus.begin_collection("mini (1 core)");
   (void)bus.track("coprocessor");
   (void)bus.core_track(0);
-  bus.begin_cycle(0);
+  bus.on_cycle_begin(0);
   bus.phase(GcPhase::kRootEvacuation);
-  bus.core_cycle(0, CoreActivity::kBusy);
-  bus.begin_cycle(1);
+  bus.on_core_cycle(0, CoreActivity::kBusy, StallReason::kNone);
+  bus.on_cycle_begin(1);
   bus.phase(GcPhase::kParallelScan);
-  bus.core_cycle(0, CoreActivity::kStall, StallReason::kScanLock);
-  bus.lock_acquired(SbLock::kScan, 0);
+  bus.on_core_cycle(0, CoreActivity::kStall, StallReason::kScanLock);
+  bus.on_lock(SbLock::kScan, 0, true);
   bus.counter_sample(bus.counter_series("gray_words"), 7);
-  bus.begin_cycle(2);
-  bus.lock_released(SbLock::kScan, 0);
-  bus.core_cycle(0, CoreActivity::kBusy);
+  bus.on_cycle_begin(2);
+  bus.on_lock(SbLock::kScan, 0, false);
+  bus.on_core_cycle(0, CoreActivity::kBusy, StallReason::kNone);
   bus.instant(bus.track("coprocessor"), TelemetryCategory::kFault,
               "example fault");
-  bus.begin_cycle(3);
+  bus.on_cycle_begin(3);
   bus.phase(GcPhase::kDrain);
-  bus.core_cycle(0, CoreActivity::kIdle);
+  bus.on_core_cycle(0, CoreActivity::kIdle, StallReason::kNone);
   bus.end_collection(4);
   return bus;
 }

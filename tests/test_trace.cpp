@@ -3,28 +3,23 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <stdexcept>
+#include <string>
 #include <vector>
 #include <fstream>
 
 #include "core/coprocessor.hpp"
+#include "runtime/runtime.hpp"
 #include "sim/trace.hpp"
 #include "workloads/benchmarks.hpp"
 
 namespace hwgc {
 namespace {
 
-TEST(SignalTrace, DisabledTraceRecordsNothing) {
-  SignalTrace trace;
-  const auto sig = trace.register_signal("x");
-  trace.sample(1, sig, 42);
-  EXPECT_TRUE(trace.events().empty());
-}
-
 TEST(SignalTrace, RecordsInOrderWhenEnabled) {
   SignalTrace trace;
   const auto a = trace.register_signal("a");
   const auto b = trace.register_signal("b");
-  trace.enable();
   trace.sample(5, a, 1);
   trace.sample(6, b, 2);
   trace.sample(9, a, 3);
@@ -35,9 +30,8 @@ TEST(SignalTrace, RecordsInOrderWhenEnabled) {
 }
 
 TEST(SignalTrace, BoundedRingDropsOldest) {
-  SignalTrace trace;
+  SignalTrace trace(/*max_events=*/4);
   const auto sig = trace.register_signal("s");
-  trace.enable(/*max_events=*/4);
   for (Cycle t = 0; t < 10; ++t) trace.sample(t, sig, t);
   ASSERT_EQ(trace.events().size(), 4u);
   EXPECT_EQ(trace.events().front().cycle, 6u);
@@ -47,7 +41,6 @@ TEST(SignalTrace, BoundedRingDropsOldest) {
 TEST(SignalTrace, WritesCsv) {
   SignalTrace trace;
   const auto sig = trace.register_signal("scan");
-  trace.enable();
   trace.sample(1, sig, 100);
   trace.sample(2, sig, 105);
   const std::string path = ::testing::TempDir() + "/hwgc_trace_test.csv";
@@ -64,7 +57,6 @@ TEST(SignalTrace, WritesCsv) {
 TEST(SignalTrace, CsvMergesNotesByCycleAndQuotes) {
   SignalTrace trace;
   const auto sig = trace.register_signal("scan");
-  trace.enable();
   trace.sample(1, sig, 100);
   trace.note(1, "fault, \"hard\"");
   trace.note(3, "abort");
@@ -86,7 +78,6 @@ TEST(SignalTrace, CsvMergesNotesByCycleAndQuotes) {
 TEST(SignalTrace, VcdEmitsNotesAsComments) {
   SignalTrace trace;
   const auto sig = trace.register_signal("scan");
-  trace.enable();
   trace.sample(3, sig, 1);
   trace.note(3, "injected $end of story");
   trace.note(10, "after the last sample");
@@ -108,7 +99,6 @@ TEST(SignalTrace, WritesVcd) {
   SignalTrace trace;
   const auto scan = trace.register_signal("scan");
   const auto busy = trace.register_signal("busy");
-  trace.enable();
   trace.sample(3, scan, 0x10);
   trace.sample(3, busy, 1);
   trace.sample(7, scan, 0x18);
@@ -153,6 +143,26 @@ TEST(SignalTrace, TracingDoesNotChangeTiming) {
   const Cycle with = c1.collect(&trace).total_cycles;
   const Cycle without = c2.collect().total_cycles;
   EXPECT_EQ(with, without) << "the monitor must be non-intrusive";
+}
+
+TEST(SignalTrace, RegistersCoprocessorSignalsOncePerTrace) {
+  // One trace observing many collections keeps one set of channels; the
+  // monitor's 32-channel cap is enforced, not just documented.
+  SimConfig cfg;
+  cfg.coprocessor.num_cores = 2;
+  Runtime rt(1 << 12, cfg);
+  SignalTrace trace;
+  rt.set_cycle_observer(&trace);
+  Runtime::Ref a = rt.alloc(1, 2);
+  rt.set_ptr(a, 0, rt.alloc(0, 3));
+  for (int i = 0; i < 4; ++i) rt.collect();
+  EXPECT_EQ(trace.signal_names(),
+            (std::vector<std::string>{"scan", "free", "gray_words",
+                                      "busy_cores"}));
+  for (std::size_t i = 4; i < SignalTrace::kMaxSignals; ++i) {
+    (void)trace.register_signal("extra" + std::to_string(i));
+  }
+  EXPECT_THROW((void)trace.register_signal("one too many"), std::length_error);
 }
 
 }  // namespace

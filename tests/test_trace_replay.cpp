@@ -92,8 +92,7 @@ RecordedSession record_churn_session(std::uint64_t seed) {
   header.cores = 4;
 
   Runtime rt(header.semispace_words, header.sim_config());
-  out.signals.enable();
-  rt.set_signal_trace(&out.signals);
+  rt.set_cycle_observer(&out.signals);
   TraceRecorder recorder(header);
   recorder.attach(rt);
 
@@ -198,9 +197,8 @@ TEST(TraceRoundTrip, SignalTraceBitIdenticalToRecordingRun) {
   ASSERT_FALSE(session.signals.events().empty());
 
   SignalTrace replay_signals;
-  replay_signals.enable();
   ReplayConfig cfg;
-  cfg.signal_trace = &replay_signals;
+  cfg.observer = &replay_signals;
   const ReplayResult r = replay_trace(session.trace, cfg);
   ASSERT_TRUE(r.ok) << r.summary();
 
