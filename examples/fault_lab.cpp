@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "fault/fault_plan.hpp"
-#include "fault/recovery.hpp"
 #include "fuzz/fuzz_case.hpp"
 #include "sim/flags.hpp"
 #include "telemetry/trace_export.hpp"
@@ -210,14 +209,15 @@ int main(int argc, char** argv) {
   print_row("TOTAL", total);
 
   if (!opt.trace_json.empty() && interesting_rank >= 0) {
-    // Runs are deterministic: collecting the case's plan again, with the
-    // bus attached, replays the recovery the oracle judged.
+    // Runs are deterministic: collecting the case through the same harness
+    // again, with the bus attached, replays the recovery the oracle judged.
     const hwgc::ConformanceCase c = interesting.conformance_case();
     hwgc::Workload w = hwgc::materialize(c.plan);
     hwgc::TelemetryBus bus;
     const hwgc::RecoveryReport r =
-        hwgc::RecoveringCollector(c.harness.coprocessor_config(), *w.heap)
-            .collect(&bus);
+        hwgc::make_harness(hwgc::CollectorId::kCoprocessor, c.harness)
+            ->collect(*w.heap, &bus)
+            .recovery.value_or(hwgc::RecoveryReport{});
     if (!hwgc::write_chrome_trace(bus, opt.trace_json)) {
       std::cerr << "error: failed to write " << opt.trace_json << "\n";
       return 1;

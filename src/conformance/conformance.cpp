@@ -488,4 +488,23 @@ ConformanceVerdict run_conformance_case(CollectorId id,
   return v;
 }
 
+void CycleOracle::before_collection(Runtime& rt) {
+  pre_ = HeapSnapshot::capture(rt.heap());
+}
+
+void CycleOracle::after_collection(Runtime& rt, const GcCycleStats&) {
+  std::vector<std::string> errors;
+  check_post_structure(rt.collector_id(), pre_, rt.heap(), rt.last_report(),
+                       errors);
+  // The snapshot is dead until the next cycle: do not hold it meanwhile.
+  pre_ = HeapSnapshot{};
+  failures_ += errors.size();
+  for (std::string& e : errors) {
+    if (findings_.size() >= max_findings_) break;
+    findings_.push_back(label_ + "cycle " +
+                        std::to_string(rt.gc_history().size() - 1) + ": " +
+                        std::move(e));
+  }
+}
+
 }  // namespace hwgc

@@ -1,10 +1,10 @@
 // Property-based conformance oracle, the one oracle every collection in
 // the repository goes through: the conformance matrix, the torture driver,
-// trace replay (per cycle) and the schedule fuzzer (src/fuzz/, as
-// coprocessor cases). One case = one graph plan + one harness
-// configuration; the oracle materializes the plan, runs the collector
-// behind its CollectorHarness, and checks the properties the collector's
-// traits promise:
+// the schedule fuzzer (src/fuzz/, as coprocessor cases) and, per cycle of
+// a live Runtime (CycleOracle), trace replay and every heap-service shard.
+// One case = one graph plan + one harness configuration; the oracle
+// materializes the plan, runs the collector behind its CollectorHarness,
+// and checks the properties the collector's traits promise:
 //
 //   * forwarding-map bijectivity — total over the pre-live set and
 //     injective (image-preserving collectors), injective over the
@@ -33,6 +33,7 @@
 
 #include "conformance/harness.hpp"
 #include "heap/verifier.hpp"
+#include "runtime/runtime.hpp"
 #include "workloads/graph_plan.hpp"
 
 namespace hwgc {
@@ -85,5 +86,35 @@ void check_post_structure(CollectorId id, const HeapSnapshot& pre,
 /// Runs one full conformance case for `id`.
 ConformanceVerdict run_conformance_case(CollectorId id,
                                         const ConformanceCase& c);
+
+/// The per-cycle oracle of a live Runtime: a snapshot before every
+/// collection (explicit or allocation-triggered), and check_post_structure
+/// after it against the report the Runtime's harness kept
+/// (Runtime::last_report) — the full contract of the Runtime's collector,
+/// recovery accounting included for faulted and recovered cycles. Refused
+/// and unrecoverable cycles are never checked (the Runtime published no
+/// heap for them).
+class CycleOracle final : public CollectionObserver {
+ public:
+  /// Findings read "<label>cycle N: <finding>", N the cycle's index in
+  /// gc_history(); the first `max_findings` are kept, all are counted.
+  CycleOracle(std::string label, std::size_t max_findings)
+      : label_(std::move(label)), max_findings_(max_findings) {}
+
+  void before_collection(Runtime& rt) override;
+  void after_collection(Runtime& rt, const GcCycleStats& stats) override;
+
+  std::uint64_t failures() const noexcept { return failures_; }
+  const std::vector<std::string>& findings() const noexcept {
+    return findings_;
+  }
+
+ private:
+  std::string label_;
+  std::size_t max_findings_;
+  HeapSnapshot pre_;
+  std::uint64_t failures_ = 0;
+  std::vector<std::string> findings_;
+};
 
 }  // namespace hwgc

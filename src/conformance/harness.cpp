@@ -81,37 +81,50 @@ CollectorTraits traits_of(CollectorId id) noexcept {
   return t;
 }
 
-SimConfig HarnessConfig::coprocessor_config() const {
-  SimConfig sim = sim_config();
-  sim.fault = fault;
-  sim.recovery.enabled = fault.enabled();
-  return sim;
+GcCycleStats cycle_stats(const CycleReport& r) {
+  if (r.coproc.has_value()) return *r.coproc;
+  GcCycleStats stats;
+  stats.objects_copied = r.objects_copied;
+  stats.words_copied = r.words_copied;
+  stats.lock_order_violations = r.lock_order_violations;
+  if (r.snapshot.has_value()) {
+    // The pauseless collector has a virtual clock of its own: total wall
+    // time is the two pauses plus the overlapped concurrent phase, and the
+    // barrier/reconciliation counters ride the coprocessor stat block into
+    // hwgc-bench-v1.
+    stats.total_cycles =
+        r.snapshot->pause_cycles + r.snapshot->concurrent_cycles;
+    stats.snapshot_stores = r.snapshot->snapshot_stores;
+    stats.reconciliation_repairs = r.snapshot->reconciliation_repairs;
+    stats.safe_point_waits = r.snapshot->safe_point_waits;
+  }
+  return stats;
 }
 
-CycleReport coprocessor_report(const GcCycleStats& s) {
+namespace {
+
+/// The coprocessor-path CycleReport of one collection's GcCycleStats.
+CycleReport coprocessor_report(GcCycleStats s) {
   CycleReport r;
   r.objects_copied = s.objects_copied;
   r.words_copied = s.words_copied;
   for (const CoreCounters& c : s.per_core) r.evacuations += c.objects_evacuated;
   r.lock_order_violations = s.lock_order_violations;
-  r.coproc = s;
+  r.coproc = std::move(s);
   return r;
 }
 
-namespace {
-
 class CoprocessorHarness final : public CollectorHarness {
  public:
-  explicit CoprocessorHarness(const HarnessConfig& cfg)
-      : sim_(cfg.coprocessor_config()) {}
+  explicit CoprocessorHarness(const SimConfig& sim) : sim_(sim) {}
   CollectorId id() const noexcept override {
     return CollectorId::kCoprocessor;
   }
-  CycleReport collect(Heap& heap) override {
-    if (!sim_.recovery.enabled) {
-      return coprocessor_report(Coprocessor(sim_, heap).collect());
+  CycleReport collect(Heap& heap, CycleObserver* obs) override {
+    if (!sim_.fault.enabled() && !sim_.recovery.enabled) {
+      return coprocessor_report(Coprocessor(sim_, heap).collect(obs));
     }
-    RecoveryReport recovered = RecoveringCollector(sim_, heap).collect();
+    RecoveryReport recovered = RecoveringCollector(sim_, heap).collect(obs);
     CycleReport r = coprocessor_report(recovered.stats);
     // The sequential fallback counts evacuations as copies, like the
     // sequential harness: it has no per-core counters.
@@ -127,7 +140,7 @@ class CoprocessorHarness final : public CollectorHarness {
 class SequentialHarness final : public CollectorHarness {
  public:
   CollectorId id() const noexcept override { return CollectorId::kSequential; }
-  CycleReport collect(Heap& heap) override {
+  CycleReport collect(Heap& heap, CycleObserver*) override {
     const SequentialGcStats s = SequentialCheney::collect(heap);
     CycleReport r;
     r.objects_copied = s.objects_copied;
@@ -148,7 +161,7 @@ class SoftwareHarness final : public CollectorHarness {
     cfg_.torture = cfg.torture;
   }
   CollectorId id() const noexcept override { return kId; }
-  CycleReport collect(Heap& heap) override {
+  CycleReport collect(Heap& heap, CycleObserver*) override {
     const ParallelGcStats s = Collector(cfg_).collect(heap);
     CycleReport r;
     r.objects_copied = s.objects_copied;
@@ -179,7 +192,7 @@ class ConcurrentHarness final : public CollectorHarness {
     cfg_.registers = cfg.mutator_registers;
   }
   CollectorId id() const noexcept override { return CollectorId::kConcurrent; }
-  CycleReport collect(Heap& heap) override {
+  CycleReport collect(Heap& heap, CycleObserver*) override {
     ConcurrentCycle cycle(cfg_, heap);
     const ConcurrentStats s = cycle.run();
     CycleReport r;
@@ -208,7 +221,7 @@ class SnapshotHarness final : public CollectorHarness {
     cfg_.torture = cfg.torture;
   }
   CollectorId id() const noexcept override { return CollectorId::kSnapshot; }
-  CycleReport collect(Heap& heap) override {
+  CycleReport collect(Heap& heap, CycleObserver*) override {
     const SnapshotGcStats s = SnapshotCollector(cfg_).collect(heap);
     CycleReport r;
     r.objects_copied = s.objects_copied;
@@ -228,9 +241,17 @@ class SnapshotHarness final : public CollectorHarness {
 
 std::unique_ptr<CollectorHarness> make_harness(CollectorId id,
                                                const HarnessConfig& cfg) {
+  SimConfig sim = cfg.sim_config();
+  sim.fault = cfg.fault;
+  return make_harness(id, cfg, sim);
+}
+
+std::unique_ptr<CollectorHarness> make_harness(CollectorId id,
+                                               const HarnessConfig& cfg,
+                                               const SimConfig& coprocessor) {
   switch (id) {
     case CollectorId::kCoprocessor:
-      return std::make_unique<CoprocessorHarness>(cfg);
+      return std::make_unique<CoprocessorHarness>(coprocessor);
     case CollectorId::kSequential:
       return std::make_unique<SequentialHarness>();
     case CollectorId::kNaive:

@@ -31,6 +31,8 @@
 
 namespace hwgc {
 
+class CycleObserver;
+
 /// Every collector the repository implements.
 enum class CollectorId : std::uint8_t {
   kCoprocessor,   ///< cycle-accurate multi-core coprocessor simulation
@@ -114,8 +116,13 @@ struct CycleReport {
   std::optional<SnapshotGcStats> snapshot;
 };
 
-/// The coprocessor-path CycleReport of one collection's GcCycleStats.
-CycleReport coprocessor_report(const GcCycleStats& s);
+/// The GcCycleStats a Runtime logs for a cycle any harness ran: the
+/// coprocessor's own stats, or what a software collector's report can
+/// fill. Software collectors run outside the coprocessor clock, so the
+/// cycle counts they cannot fill stay zero and restart_stores_drained
+/// stays true (their stores are plain memory writes, committed before
+/// collect() returns).
+GcCycleStats cycle_stats(const CycleReport& r);
 
 /// Knobs shared across the whole matrix; each harness picks out what its
 /// collector understands and ignores the rest. The embedded
@@ -141,10 +148,6 @@ struct HarnessConfig : CoprocessorKnobs {
   /// Snapshot collector only: real mutator threads spawned for the cycle.
   /// 0 is quiescent, same convention as mutator_registers.
   std::uint32_t mutator_threads = 2;
-
-  /// The coprocessor's configuration: the knobs, plus the fault plan and
-  /// the recovery machinery when fault injection is enabled.
-  SimConfig coprocessor_config() const;
 };
 
 /// One collector behind the uniform entry point. Stateless between calls:
@@ -160,12 +163,24 @@ class CollectorHarness {
   /// Runs one full collection cycle: expects the live graph in the heap's
   /// current space; afterwards the heap is flipped, roots are redirected
   /// and the allocation pointer is published. Throws on collector failure
-  /// (e.g. tospace exhaustion under fragmentation).
-  virtual CycleReport collect(Heap& heap) = 0;
+  /// (e.g. tospace exhaustion under fragmentation). The coprocessor
+  /// publishes its clock loop to `obs` (every attempt, when it recovers);
+  /// the other collectors run outside that clock and ignore it.
+  virtual CycleReport collect(Heap& heap, CycleObserver* obs = nullptr) = 0;
 };
 
-/// Builds the harness for `id` with the matrix knobs applied.
+/// Builds the harness for `id` with the matrix knobs applied. The
+/// coprocessor runs the knobs' sim_config() plus the fault plan, and
+/// collects through RecoveringCollector when the plan is enabled.
 std::unique_ptr<CollectorHarness> make_harness(CollectorId id,
                                                const HarnessConfig& cfg = {});
+
+/// Same, except that the coprocessor runs `coprocessor` whole — memory
+/// model, watchdog, recovery config and fault plan. It recovers whenever
+/// fault injection or recovery is enabled there. The Runtime builds its
+/// collector this way.
+std::unique_ptr<CollectorHarness> make_harness(CollectorId id,
+                                               const HarnessConfig& cfg,
+                                               const SimConfig& coprocessor);
 
 }  // namespace hwgc

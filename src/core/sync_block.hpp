@@ -202,10 +202,6 @@ class SyncBlock {
     return false;
   }
 
-  const StripeJob& stripe_slot(std::uint32_t slot) const {
-    return stripe_slots_[slot];
-  }
-
   // --- barrier -------------------------------------------------------------
 
   /// Current barrier generation; a core snapshots this before waiting.

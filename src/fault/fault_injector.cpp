@@ -34,7 +34,6 @@ void FaultInjector::fire(std::size_t i) {
   s.fired_ever = true;
   ++fired_total_;
   ++fired_attempt_;
-  ++fired_by_kind_[static_cast<std::size_t>(plan_.events[i].kind)];
   const std::string where = "attempt " + std::to_string(attempt_) +
                             " cycle " + std::to_string(now_);
   const std::string what = plan_.events[i].summary();

@@ -123,9 +123,6 @@ class FaultInjector {
   const FaultPlan& plan() const noexcept { return plan_; }
   std::uint64_t fired_total() const noexcept { return fired_total_; }
   std::uint64_t fired_this_attempt() const noexcept { return fired_attempt_; }
-  std::uint64_t fired_by_kind(FaultKind k) const noexcept {
-    return fired_by_kind_[static_cast<std::size_t>(k)];
-  }
 
   /// Human-readable log of every fired event ("cycle 123: mem-drop ...").
   const std::vector<std::string>& log() const noexcept { return log_; }
@@ -150,8 +147,6 @@ class FaultInjector {
   std::uint32_t attempt_ = 0;
   std::uint64_t fired_total_ = 0;
   std::uint64_t fired_attempt_ = 0;
-  std::vector<std::uint64_t> fired_by_kind_ =
-      std::vector<std::uint64_t>(kFaultKindCount, 0);
   std::vector<std::string> log_;
 };
 

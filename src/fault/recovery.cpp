@@ -9,48 +9,6 @@
 
 namespace hwgc {
 
-namespace {
-
-/// Pre-cycle image of the mutator-visible heap state. Fromspace data is
-/// intact until the flip, but collection does mutate fromspace *headers*
-/// (forwarding bit + forwarding address), so recovery restores the full
-/// allocated prefix of the pre-cycle space, the roots and the allocation
-/// frontier.
-struct PreImage {
-  Addr base = 0;
-  Addr alloc = 0;
-  std::vector<Word> words;
-  std::vector<Addr> roots;
-
-  static PreImage save(const Heap& heap) {
-    PreImage img;
-    img.base = heap.layout().current_base();
-    img.alloc = heap.alloc_ptr();
-    img.roots = heap.roots();
-    img.words.reserve(static_cast<std::size_t>(img.alloc - img.base));
-    for (Addr a = img.base; a < img.alloc; ++a) {
-      img.words.push_back(heap.memory().load(a));
-    }
-    return img;
-  }
-
-  void restore(Heap& heap) const {
-    // A verifier-detected failure is observed after the flip; aborts thrown
-    // mid-cycle happen before it. Flip back first so `base` is current again.
-    if (heap.layout().current_base() != base) heap.flip();
-    heap.set_alloc_ptr(alloc);
-    heap.roots() = roots;
-    Addr a = base;
-    for (Word w : words) heap.memory().store(a++, w);
-    // Heal any checksum mismatch left behind in either space (corruption
-    // outside the restored range, e.g. a bit flipped in partially-built
-    // tospace) so a stale mismatch cannot re-abort the next attempt.
-    if (heap.memory().ecc_enabled()) heap.memory().enable_ecc();
-  }
-};
-
-}  // namespace
-
 RecoveringCollector::RecoveringCollector(const SimConfig& cfg, Heap& heap)
     : RecoveringCollector(
           cfg, heap,
@@ -81,7 +39,10 @@ RecoveryReport RecoveringCollector::collect(CycleObserver* obs) {
   if (cfg_.recovery.header_ecc) heap_.memory().enable_ecc();
 
   const HeapSnapshot pre = HeapSnapshot::capture(heap_);
-  const PreImage image = PreImage::save(heap_);
+  // Fromspace data is intact until the flip, but collection mutates
+  // fromspace headers (forwarding bit + address): an aborted attempt is
+  // undone by restoring this image.
+  const HeapImage image = HeapImage::save(heap_);
   const Cycle budget = watchdog_budget(pre.live_words);
 
   // Active physical cores; shrinks as recovery deconfigures suspects.

@@ -75,4 +75,25 @@ void Heap::set_data(Addr obj, Word j, Word value) {
   mem_.store(data_field_addr(obj, pi(obj), j), value);
 }
 
+HeapImage HeapImage::save(const Heap& heap) {
+  HeapImage img;
+  img.base = heap.layout().current_base();
+  img.alloc = heap.alloc_ptr();
+  img.words.reserve(static_cast<std::size_t>(img.alloc - img.base));
+  for (Addr a = img.base; a < img.alloc; ++a) {
+    img.words.push_back(heap.memory().load(a));
+  }
+  img.roots = heap.roots();
+  return img;
+}
+
+void HeapImage::restore(Heap& heap) const {
+  if (heap.layout().current_base() != base) heap.flip();
+  Addr a = base;
+  for (Word w : words) heap.memory().store(a++, w);
+  heap.set_alloc_ptr(alloc);
+  heap.roots() = roots;
+  if (heap.memory().ecc_enabled()) heap.memory().enable_ecc();
+}
+
 }  // namespace hwgc

@@ -82,4 +82,25 @@ class Heap {
   std::uint64_t allocated_ = 0;
 };
 
+/// Image of a heap's mutator-visible state: the allocated prefix
+/// [base, alloc) of the current space, the allocation frontier and the
+/// roots. The recovery ladder restores it after an aborted attempt (a
+/// cycle mutates fromspace headers before the flip) and shard checkpoints
+/// embed it (Runtime::Image).
+struct HeapImage {
+  Addr base = 0;   ///< current-space base at capture (orientation)
+  Addr alloc = 0;  ///< allocation frontier at capture
+  std::vector<Word> words;  ///< [base, alloc) of the current space
+  std::vector<Addr> roots;
+
+  static HeapImage save(const Heap& heap);
+
+  /// Flips back to the captured orientation if needed, rewrites the
+  /// prefix, republishes frontier and roots, and heals the ECC shadow
+  /// when it is on: an aborted cycle may leave stale checksums outside the
+  /// restored prefix (e.g. a bit flipped in partially built tospace), and
+  /// enable_ecc() recomputes every word's checksum.
+  void restore(Heap& heap) const;
+};
+
 }  // namespace hwgc

@@ -2,14 +2,27 @@
 
 #include <stdexcept>
 
-#include "core/coprocessor.hpp"
+#include "sim/fnv.hpp"
 #include "sim/observer.hpp"
 
 namespace hwgc {
 
-Runtime::Runtime(Word semispace_words, SimConfig cfg)
-    : heap_(semispace_words), cfg_(cfg) {
+Runtime::Runtime(Word semispace_words, SimConfig cfg, CollectorId collector,
+                 HarnessConfig harness)
+    : heap_(semispace_words), cfg_(cfg), collector_(collector),
+      harness_cfg_(harness) {
   cfg_.heap.semispace_words = semispace_words;
+  if (collector == CollectorId::kConcurrent ||
+      collector == CollectorId::kSnapshot) {
+    harness_cfg_.mutator_registers = 0;
+    harness_cfg_.mutator_threads = 0;
+  }
+  harness_ = make_harness(collector_, harness_cfg_, cfg_);
+}
+
+void Runtime::set_fault_config(const FaultConfig& f) {
+  cfg_.fault = f;
+  harness_ = make_harness(collector_, harness_cfg_, cfg_);
 }
 
 Addr Runtime::addr(Ref ref) const {
@@ -93,15 +106,9 @@ ReadProbe Runtime::read_probe(Ref obj) {
   const Addr a = addr(obj);
   ReadProbe probe;
   probe.words = heap_.delta(a);
-  std::uint64_t h = 14695981039346656037ull;
-  for (Word j = 0; j < probe.words; ++j) {
-    Word w = heap_.data(a, j);
-    for (int byte = 0; byte < 8; ++byte) {
-      h = (h ^ (w & 0xffu)) * 1099511628211ull;
-      w >>= 8;
-    }
-  }
-  probe.digest = h;
+  Fnv1a h;
+  for (Word j = 0; j < probe.words; ++j) h.mix(heap_.data(a, j));
+  probe.digest = h.h;
   if (sink_ != nullptr) sink_->on_read(*this, obj.slot_, probe);
   return probe;
 }
@@ -114,31 +121,13 @@ Word Runtime::pi(Ref obj) const { return heap_.pi(addr(obj)); }
 Word Runtime::delta(Ref obj) const { return heap_.delta(addr(obj)); }
 
 Runtime::Image Runtime::save_image() const {
-  Image img;
-  img.base = heap_.layout().current_base();
-  img.alloc = heap_.alloc_ptr();
-  img.words.reserve(static_cast<std::size_t>(img.alloc - img.base));
-  for (Addr a = img.base; a < img.alloc; ++a) {
-    img.words.push_back(heap_.memory().load(a));
-  }
-  img.roots = heap_.roots();
-  img.free_slots = free_slots_;
-  img.root_high_water = root_high_water_;
-  return img;
+  return {HeapImage::save(heap_), free_slots_, root_high_water_};
 }
 
 void Runtime::restore_image(const Image& img) {
-  if (heap_.layout().current_base() != img.base) heap_.flip();
-  for (std::size_t i = 0; i < img.words.size(); ++i) {
-    heap_.memory().store(img.base + static_cast<Addr>(i), img.words[i]);
-  }
-  heap_.set_alloc_ptr(img.alloc);
-  heap_.roots() = img.roots;
+  img.restore(heap_);
   free_slots_ = img.free_slots;
   root_high_water_ = img.root_high_water;
-  // An aborted fault run may have left stale checksums outside the restored
-  // prefix; enable_ecc() recomputes every word's checksum (idempotent).
-  if (heap_.memory().ecc_enabled()) heap_.memory().enable_ecc();
 }
 
 const GcCycleStats& Runtime::collect() {
@@ -147,43 +136,38 @@ const GcCycleStats& Runtime::collect() {
 }
 
 const GcCycleStats& Runtime::collect_now() {
+  if (collector_ != CollectorId::kCoprocessor &&
+      (cfg_.fault.enabled() || cfg_.recovery.enabled)) {
+    throw std::logic_error(
+        std::string("Runtime: the ") + to_string(collector_) +
+        " collector cannot run with fault injection/recovery (the "
+        "coprocessor's recovery ladder owns the cycle)");
+  }
   if (observer_ != nullptr) observer_->before_collection(*this);
   CycleProfiler profiler;
   CycleProfiler* prof = profiling_ ? &profiler : nullptr;
   ObserverFanout fanout;
   fanout.add(cycle_obs_);
   fanout.add(prof);
-  const bool recovering = cfg_.fault.enabled() || cfg_.recovery.enabled;
   // Allocation into the current space is dense, so alloc_ptr is already
-  // consistent; the coprocessor flips the heap and republishes it.
-  if (plugin_ != nullptr) {
-    if (recovering) {
-      throw std::logic_error(
-          "Runtime: a collector plugin cannot be combined with fault "
-          "injection/recovery (the recovery ladder owns the cycle)");
-    }
-    history_.push_back(plugin_->collect(heap_));
-    // Plugin cycles run outside the coprocessor clock: keep
-    // profile_history_ index-aligned with an invalid profile.
+  // consistent; the collector flips the heap and republishes it.
+  CycleReport report = harness_->collect(heap_, fanout.target());
+  const std::optional<RecoveryReport>& recovery = report.recovery;
+  // Software collectors and the recovery ladder's sequential fallback run
+  // outside the coprocessor clock: keep profile_history_ index-aligned
+  // with an invalid profile rather than let a failed attempt's partial
+  // profile escape as if it covered this cycle.
+  if (!report.coproc || (recovery && recovery->used_sequential_fallback)) {
     profiler.mark_unprofiled();
-  } else if (recovering) {
-    RecoveringCollector collector(cfg_, heap_);
-    RecoveryReport report = collector.collect(fanout.target());
-    // The sequential fallback runs outside the coprocessor clock too: only
-    // the failed attempt's partial profile is left, which must not escape
-    // as if it covered this cycle.
-    if (report.used_sequential_fallback) profiler.mark_unprofiled();
-    if (!report.ok) {
-      recovery_history_.push_back(std::move(report));
-      throw std::runtime_error(
-          "Runtime: collection unrecoverable — " +
-          recovery_history_.back().summary());
-    }
-    history_.push_back(report.stats);
-    recovery_history_.push_back(std::move(report));
-  } else {
-    history_.push_back(Coprocessor(cfg_, heap_).collect(fanout.target()));
   }
+  if (recovery) {
+    recovery_history_.push_back(*recovery);
+    if (!recovery->ok) {
+      throw std::runtime_error("Runtime: collection unrecoverable — " +
+                               recovery->summary());
+    }
+  }
+  history_.push_back(cycle_stats(report));
   // Section V-E: "the main processor is only restarted after all updates
   // are written back to the memory". A cycle whose store buffers had not
   // drained at restart must never publish its heap to the mutator.
@@ -197,6 +181,7 @@ const GcCycleStats& Runtime::collect_now() {
   // Kept aligned with history_: pushed only once the cycle is accepted
   // (the drain-violation path above pops and never reaches here).
   if (prof != nullptr) profile_history_.push_back(profiler.take_profile());
+  last_report_ = std::move(report);
   if (observer_ != nullptr) observer_->after_collection(*this, history_.back());
   return history_.back();
 }

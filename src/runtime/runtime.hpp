@@ -3,17 +3,20 @@
 //
 // The paper's system runs Java on an object-based main processor whose
 // memory the GC coprocessor collects. This class plays the role of that
-// runtime for our examples and multi-cycle tests: it owns a Heap and a
-// coprocessor configuration, hands out *stable references* (objects move
+// runtime for our examples and multi-cycle tests: it owns a Heap and one
+// collector (the simulated coprocessor by default, any collector of the
+// inventory on request), hands out *stable references* (objects move
 // during collection, so raw addresses must never be held across an
-// allocation), and transparently runs a collection cycle on the simulated
-// coprocessor whenever the allocator runs out of space — the moment the
-// prototype's Core 1 would stop the main processor (Section V-E).
+// allocation), and transparently runs a collection cycle whenever the
+// allocator runs out of space — the moment the prototype's Core 1 would
+// stop the main processor (Section V-E).
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
+#include "conformance/harness.hpp"
 #include "fault/recovery.hpp"
 #include "heap/heap.hpp"
 #include "profile/cycle_profiler.hpp"
@@ -26,14 +29,14 @@ class Runtime;
 class CycleObserver;
 
 /// Observation seam around every collection cycle the runtime runs —
-/// explicit or allocation-triggered. The service layer (src/service/)
-/// hooks it to snapshot the live graph before a cycle and run the
-/// conformance post-structure oracle after it, and to account GC-induced
-/// request stall; tests hook it to prove exhaustion-triggered cycles are
-/// observed too. Callbacks run on the mutator's thread, before_collection
-/// with the pre-cycle heap, after_collection once the flipped heap has
-/// been published to the mutator (never for refused or unrecoverable
-/// cycles).
+/// explicit or allocation-triggered. The per-cycle oracle (CycleOracle,
+/// conformance/conformance.hpp) hooks it to snapshot the live graph before
+/// a cycle and check it after; the service layer (src/service/) also
+/// accounts GC-induced request stall; tests hook it to prove
+/// exhaustion-triggered cycles are observed too. Callbacks run on the
+/// mutator's thread, before_collection with the pre-cycle heap,
+/// after_collection once the flipped heap has been published to the
+/// mutator (never for refused or unrecoverable cycles).
 class CollectionObserver {
  public:
   virtual ~CollectionObserver() = default;
@@ -77,18 +80,6 @@ class RuntimeTraceSink {
   virtual void on_collect(Runtime&) {}
 };
 
-/// Pluggable collection backend (src/trace/): when attached, explicit and
-/// allocation-triggered cycles run through it instead of the built-in
-/// coprocessor. The plugin must leave the heap flipped with roots
-/// redirected and the allocation pointer published (the CollectorHarness
-/// contract). The replayer uses this to drive one recorded trace under any
-/// collector in the inventory.
-class CollectorPlugin {
- public:
-  virtual ~CollectorPlugin() = default;
-  virtual GcCycleStats collect(Heap& heap) = 0;
-};
-
 class Runtime {
  public:
   /// A GC-safe object reference: a slot in the root table, kept up to date
@@ -110,7 +101,16 @@ class Runtime {
     std::size_t slot_ = kInvalid;
   };
 
-  explicit Runtime(Word semispace_words, SimConfig cfg = {});
+  /// Every cycle — explicit or allocation-triggered, faulted, recovered
+  /// or pauseless — runs through one CollectorHarness for `collector`.
+  /// The coprocessor runs `cfg` whole (memory model, watchdog, recovery
+  /// config, fault plan); the other collectors take `harness`. The
+  /// runtime's own operations are the only mutator, so the concurrent and
+  /// snapshot collectors run quiescent (no synthetic mutator registers or
+  /// threads) whatever `harness` asks for.
+  explicit Runtime(Word semispace_words, SimConfig cfg = {},
+                   CollectorId collector = CollectorId::kCoprocessor,
+                   HarnessConfig harness = {});
 
   /// Allocates a rooted object with `pi` pointer fields and `delta` data
   /// words. Triggers a collection cycle when the semispace is exhausted;
@@ -145,16 +145,12 @@ class Runtime {
   ReadProbe read_probe(Ref obj);
 
   /// Checkpoint seam (service-layer shard checkpoint/restore). An Image is
-  /// everything the mutator-visible runtime state consists of: the
-  /// allocated prefix of the current semispace, the allocation frontier,
-  /// the root table with its freelist, and the root high-water mark.
-  /// History vectors (gc_history, recovery_history) are monotone logs, not
-  /// state, and survive a restore untouched.
-  struct Image {
-    Addr base = 0;   ///< current-space base at capture (orientation)
-    Addr alloc = 0;  ///< allocation frontier at capture
-    std::vector<Word> words;             ///< [base, alloc) of current space
-    std::vector<Addr> roots;             ///< full root table
+  /// everything the mutator-visible runtime state consists of: the heap
+  /// image (allocated prefix, allocation frontier, root table) plus the
+  /// root-slot freelist and the root high-water mark. History vectors
+  /// (gc_history, recovery_history) are monotone logs, not state, and
+  /// survive a restore untouched.
+  struct Image : HeapImage {
     std::vector<std::size_t> free_slots; ///< root-slot freelist
     std::size_t root_high_water = 0;
   };
@@ -163,16 +159,14 @@ class Runtime {
   /// collection: one pass over the allocated prefix.
   Image save_image() const;
 
-  /// Restores a previously captured image: flips the semispaces back to
-  /// the captured orientation if needed, rewrites the allocated prefix,
-  /// republishes the allocation frontier and root table, and re-enables
-  /// the ECC shadow (healing any stale checksums) when it was active.
+  /// Restores a previously captured image (HeapImage::restore) and the
+  /// root-slot bookkeeping.
   void restore_image(const Image& img);
 
   /// Swaps the fault-injection plan for future collections — the fault
   /// storm's burst windows toggle per-shard injection on and off through
   /// this without rebuilding the runtime.
-  void set_fault_config(const FaultConfig& f) noexcept { cfg_.fault = f; }
+  void set_fault_config(const FaultConfig& f);
 
   /// Forces a collection cycle now.
   ///
@@ -182,10 +176,21 @@ class Runtime {
   /// the skip_store_drain_for_test backdoor) is refused with
   /// std::logic_error and counted in drain_violations().
   ///
-  /// With fault injection or recovery enabled in the config, the cycle
-  /// runs through the RecoveringCollector instead of the bare
-  /// coprocessor; per-cycle reports accumulate in recovery_history().
+  /// With fault injection or recovery enabled in the config, the
+  /// coprocessor cycle runs through the RecoveringCollector; per-cycle
+  /// reports accumulate in recovery_history(), and a cycle no rung of the
+  /// ladder recovered throws std::runtime_error ("unrecoverable"). Any
+  /// other collector refuses a faulted config with std::logic_error: the
+  /// recovery ladder owns the cycle.
   const GcCycleStats& collect();
+
+  /// The collector every cycle runs through.
+  CollectorId collector_id() const noexcept { return collector_; }
+
+  /// Full report of the latest accepted cycle, as its harness produced
+  /// it (family payload, evacuation counters, recovery report) — what the
+  /// per-cycle oracle checks. Empty before the first cycle.
+  const CycleReport& last_report() const noexcept { return last_report_; }
 
   /// Attaches a cycle observer (a TelemetryBus, a SignalTrace, or several
   /// through an ObserverFanout): every subsequent coprocessor collection
@@ -224,13 +229,6 @@ class Runtime {
   /// detach. See RuntimeTraceSink for the exact notification contract.
   void set_trace_sink(RuntimeTraceSink* sink) noexcept { sink_ = sink; }
   RuntimeTraceSink* trace_sink() const noexcept { return sink_; }
-
-  /// Swaps the collection backend (trace replay under any collector). Pass
-  /// nullptr to restore the built-in coprocessor. Incompatible with fault
-  /// injection/recovery: collect() throws std::logic_error if both are
-  /// configured, rather than silently picking one.
-  void set_collector(CollectorPlugin* plugin) noexcept { plugin_ = plugin; }
-  CollectorPlugin* collector() const noexcept { return plugin_; }
 
   /// Current heap address of a rooted reference. Only stable until the
   /// next collection — exposed for tests and debugging tools (e.g. the
@@ -280,6 +278,10 @@ class Runtime {
 
   Heap heap_;
   SimConfig cfg_;
+  CollectorId collector_;
+  HarnessConfig harness_cfg_;
+  std::unique_ptr<CollectorHarness> harness_;
+  CycleReport last_report_;
   std::vector<std::size_t> free_slots_;
   std::vector<GcCycleStats> history_;
   std::vector<RecoveryReport> recovery_history_;
@@ -290,7 +292,6 @@ class Runtime {
   CycleObserver* cycle_obs_ = nullptr;
   CollectionObserver* observer_ = nullptr;
   RuntimeTraceSink* sink_ = nullptr;
-  CollectorPlugin* plugin_ = nullptr;
 };
 
 }  // namespace hwgc

@@ -1,27 +1,18 @@
 #include "service/checkpoint.hpp"
 
+#include "sim/fnv.hpp"
+
 namespace hwgc {
 
 namespace {
 
-/// Streaming FNV-1a 64. Every field is folded in full width with a length
-/// prefix per vector, so reorderings and truncations change the digest.
-struct Fnv1a {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-
-  void mix(std::uint64_t v) noexcept {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xffu;
-      h *= 0x100000001b3ULL;
-    }
-  }
-
-  template <typename T>
-  void mix_vec(const std::vector<T>& v) noexcept {
-    mix(v.size());
-    for (const T& x : v) mix(static_cast<std::uint64_t>(x));
-  }
-};
+/// Every field is folded in full width with a length prefix per vector, so
+/// reorderings and truncations change the digest.
+template <typename T>
+void mix_vec(Fnv1a& f, const std::vector<T>& v) noexcept {
+  f.mix(v.size());
+  for (const T& x : v) f.mix(static_cast<std::uint64_t>(x));
+}
 
 }  // namespace
 
@@ -47,9 +38,9 @@ std::uint64_t ShardCheckpoint::compute_digest() const {
   f.mix(collections_at);
   f.mix(runtime.base);
   f.mix(runtime.alloc);
-  f.mix_vec(runtime.words);
-  f.mix_vec(runtime.roots);
-  f.mix_vec(runtime.free_slots);
+  mix_vec(f, runtime.words);
+  mix_vec(f, runtime.roots);
+  mix_vec(f, runtime.free_slots);
   f.mix(runtime.root_high_water);
   for (std::uint64_t w : mutator.rng) f.mix(w);
   f.mix(mutator.objs.size());
@@ -58,10 +49,10 @@ std::uint64_t ShardCheckpoint::compute_digest() const {
     f.mix(o.rooted ? 1 : 0);
     f.mix(o.pi);
     f.mix(o.delta);
-    f.mix_vec(o.children);
-    f.mix_vec(o.data);
+    mix_vec(f, o.children);
+    mix_vec(f, o.data);
   }
-  f.mix_vec(mutator.live);
+  mix_vec(f, mutator.live);
   f.mix(mutator.allocations);
   return f.h;
 }

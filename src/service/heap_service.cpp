@@ -8,7 +8,6 @@
 #include <map>
 
 #include "conformance/conformance.hpp"
-#include "conformance/harness.hpp"
 #include "heap/object_model.hpp"
 #include "service/checkpoint.hpp"
 #include "trace/replayer.hpp"
@@ -61,9 +60,7 @@ struct HeapService::ShardState final : CollectionObserver {
   ShardState(std::size_t index_, const ServiceConfig& cfg,
              const FaultStorm& storm)
       : index(index_),
-        fault_injected((cfg.fault_shard == index_ && cfg.fault_events > 0) ||
-                       (storm.enabled() && storm.stormed(index_))),
-        oracle(cfg.oracle),
+        oracle_on(cfg.oracle),
         resilient(cfg.resilience.enabled()),
         profiling(cfg.profile.enabled),
         pauseless(cfg.scheduler == GcSchedulerKind::kPauseless),
@@ -71,21 +68,18 @@ struct HeapService::ShardState final : CollectionObserver {
         checkpoint_interval(cfg.resilience.checkpoint_interval),
         sessions(cfg.traffic.sessions),
         traces(cfg.traces),
-        rt(cfg.semispace_words, shard_sim_config(index_, cfg, storm)),
-        mutator(shard_mutator_config(index_, cfg)) {
+        // Pauseless: every cycle on this shard — scheduled or exhaustion-
+        // triggered — runs through the SATB snapshot collector. One worker
+        // thread keeps the quiescent cycle bit-deterministic (the byte-
+        // identity proof across host thread counts depends on it); the
+        // runtime runs it without mutator threads because the shard's
+        // sessions ARE the mutator — their stores all land between cycles.
+        rt(cfg.semispace_words, shard_sim_config(index_, cfg, storm),
+           pauseless ? CollectorId::kSnapshot : CollectorId::kCoprocessor,
+           one_worker()),
+        mutator(shard_mutator_config(index_, cfg)),
+        oracle("shard " + std::to_string(index_) + ": ", 16) {
     rt.set_collection_observer(this);
-    if (pauseless) {
-      // Every cycle on this shard — scheduled or exhaustion-triggered —
-      // runs through the pauseless SATB snapshot collector. One worker
-      // thread keeps the quiescent cycle bit-deterministic (the byte-
-      // identity proof across host thread counts depends on it); the
-      // plugin forces mutator_threads = 0 because the shard's sessions ARE
-      // the mutator — their stores all land between cycles.
-      HarnessConfig hc;
-      hc.cores = 1;
-      plugin = std::make_unique<HarnessPlugin>(CollectorId::kSnapshot, hc);
-      rt.set_collector(plugin.get());
-    }
     if (profiling) rt.enable_profiling();
     if (resilient) {
       // Checkpoint 0: the pristine construction state, so a restore is
@@ -115,6 +109,12 @@ struct HeapService::ShardState final : CollectionObserver {
     return sim;
   }
 
+  static HarnessConfig one_worker() {
+    HarnessConfig hc;
+    hc.cores = 1;
+    return hc;
+  }
+
   static ShadowMutator::Config shard_mutator_config(std::size_t index,
                                                     const ServiceConfig& cfg) {
     ShadowMutator::Config m = cfg.traffic.mutator;
@@ -135,7 +135,7 @@ struct HeapService::ShardState final : CollectionObserver {
   // --- CollectionObserver ---------------------------------------------------
 
   void before_collection(Runtime& r) override {
-    if (oracle) pre.emplace(HeapSnapshot::capture(r.heap()));
+    if (oracle_on) oracle.before_collection(r);
   }
 
   void after_collection(Runtime& r, const GcCycleStats& s) override {
@@ -145,11 +145,9 @@ struct HeapService::ShardState final : CollectionObserver {
     // concurrent copying phase becomes debt drained as per-request service
     // overhead (execute_request) instead of stall.
     Cycle blocking = s.total_cycles;
-    if (pauseless && plugin != nullptr && plugin->has_report() &&
-        plugin->last_report().snapshot.has_value()) {
-      const SnapshotGcStats& snap = *plugin->last_report().snapshot;
-      blocking = snap.pause_cycles;
-      concurrent_debt += snap.concurrent_cycles;
+    if (const auto& snap = r.last_report().snapshot; snap.has_value()) {
+      blocking = snap->pause_cycles;
+      concurrent_debt += snap->concurrent_cycles;
     }
     pending_gc += blocking;
     if (profiling) {
@@ -172,10 +170,12 @@ struct HeapService::ShardState final : CollectionObserver {
         ++escalations;
       }
     }
-    std::size_t errors = 0;
-    if (oracle && pre.has_value()) {
-      errors = run_oracle(r, s);
-      pre.reset();
+    std::uint64_t errors = 0;
+    if (oracle_on) {
+      const std::uint64_t before = oracle.failures();
+      oracle.after_collection(r, s);
+      errors = oracle.failures() - before;
+      stats.oracle_failures += errors;
     }
     // Verified-clean cycle boundary: the only place a checkpoint may be
     // taken (the service never checkpoints state it has not verified —
@@ -222,38 +222,6 @@ struct HeapService::ShardState final : CollectionObserver {
     next_free = std::max(next_free, ready);
   }
 
-  /// Post-structure oracle over the cycle that just ran. Fault-free shards
-  /// get the conformance kit's full coprocessor contract (forwarding
-  /// bijectivity, dense tiling, single-evacuation counters); the
-  /// fault-injected shard may have finished through the recovery ladder's
-  /// sequential fallback, whose counters are a different family, so it is
-  /// held to the image properties only (liveness + dense compaction).
-  std::size_t run_oracle(Runtime& r, const GcCycleStats& s) {
-    std::vector<std::string> errors;
-    if (pauseless && plugin != nullptr && plugin->has_report()) {
-      // The snapshot collector has its own structure oracle (SATB totality,
-      // injectivity, dense extent, reconciliation counters) keyed off the
-      // full CycleReport the plugin kept.
-      check_post_structure(CollectorId::kSnapshot, *pre, r.heap(),
-                           plugin->last_report(), errors);
-    } else if (fault_injected) {
-      const VerifyResult vr = verify_collection(*pre, r.heap());
-      errors = vr.errors;
-    } else {
-      check_post_structure(CollectorId::kCoprocessor, *pre, r.heap(),
-                           coprocessor_report(s), errors);
-    }
-    stats.oracle_failures += errors.size();
-    if (!errors.empty() && oracle_diagnostics.size() < 16) {
-      for (const auto& e : errors) {
-        if (oracle_diagnostics.size() >= 16) break;
-        oracle_diagnostics.push_back("shard " + std::to_string(index) + ": " +
-                                     e);
-      }
-    }
-    return errors.size();
-  }
-
   bool trace_mode() const noexcept { return traces != nullptr; }
 
   /// Lazily built per-session replay cursor (trace-per-session). Lives on
@@ -282,8 +250,7 @@ struct HeapService::ShardState final : CollectionObserver {
   }
 
   const std::size_t index;
-  const bool fault_injected;
-  const bool oracle;
+  const bool oracle_on;
   const bool resilient;
   const bool profiling;
   const bool pauseless;
@@ -294,9 +261,7 @@ struct HeapService::ShardState final : CollectionObserver {
   const std::shared_ptr<const std::vector<Trace>> traces;
   Runtime rt;
   ShadowMutator mutator;
-  /// Pauseless mode: the shard's snapshot-collector backend (installed as
-  /// the runtime's CollectorPlugin at construction; null otherwise).
-  std::unique_ptr<HarnessPlugin> plugin;
+  CycleOracle oracle;
   std::map<std::uint32_t, TraceCursor> cursors;  ///< per-session replay
 
   Cycle next_free = 0;          ///< virtual cycle the backlog drains
@@ -314,9 +279,7 @@ struct HeapService::ShardState final : CollectionObserver {
   std::vector<GcCharge> uncharged;        ///< charge twins of gc_backlog
   std::vector<RequestExemplar> exemplars; ///< this lane's K slowest
 
-  std::optional<HeapSnapshot> pre;
   SloStats stats;
-  std::vector<std::string> oracle_diagnostics;
 
   // --- Resilience state (lane-owned; conductor reads only after a join) --
   std::uint64_t escalations = 0;  ///< cumulative escalated recoveries
@@ -345,9 +308,9 @@ HeapService::HeapService(const ServiceConfig& cfg)
   if (cfg_.scheduler == GcSchedulerKind::kPauseless &&
       (cfg_.fault_shard != ServiceConfig::kNoShard || cfg_.storm.enabled() ||
        cfg_.sim.fault.events > 0 || cfg_.sim.recovery.enabled)) {
-    // Faulted shards collect through the RecoveringCollector, which the
-    // runtime refuses to combine with a collector plugin — and the
-    // pauseless snapshot collector has no fault-injection model of its own.
+    // Faulted shards collect through the coprocessor's RecoveringCollector;
+    // the snapshot collector has no fault-injection model, so a Runtime
+    // running it refuses a faulted config.
     throw std::invalid_argument(
         "HeapService: the pauseless scheduler cannot run with fault "
         "injection or recovery (the snapshot collector replaces the "
@@ -448,19 +411,16 @@ std::vector<ShardObservation> HeapService::observations(Cycle at) const {
 void HeapService::run_scheduled_collection(ShardState& shard, Cycle at) {
   shard.pending_gc = 0;
   shard.pending_charges.clear();
-  if (shard.resilient) {
-    // A scheduler-forced cycle can die on a stormed shard too; record the
-    // failure for the supervisor instead of unwinding the conductor. The
-    // failed attempt published nothing (observer never ran), so neither
-    // collections nor scheduled_collections counts it.
-    try {
-      shard.rt.collect();
-    } catch (const std::runtime_error&) {
-      ++shard.failures;
-      return;
-    }
-  } else {
-    shard.rt.collect();  // observer handles oracle + per-cycle accounting
+  // The observer handles oracle + per-cycle accounting. A scheduler-forced
+  // cycle can die unrecoverable on a faulted shard; record the failure for
+  // the supervisor instead of unwinding the conductor. The failed attempt
+  // published nothing (observer never ran), so neither collections nor
+  // scheduled_collections counts it.
+  try {
+    shard.rt.collect();
+  } catch (const std::runtime_error&) {
+    ++shard.failures;
+    return;
   }
   const Cycle dur = shard.take_pending_gc();
   shard.next_free = std::max(shard.next_free, at) + dur;
@@ -518,15 +478,11 @@ void HeapService::execute_request(ShardState& sh, const Request& req,
         trace_ops_for(req.kind, cfg_.trace_ops_per_request);
     const std::uint64_t mismatches_before = cursor.read_mismatches();
     std::size_t applied = 0;
-    if (sh.resilient) {
-      try {
-        applied = cursor.apply(sh.rt, budget);
-      } catch (const std::runtime_error&) {
-        failed = true;
-        ++sh.failures;
-      }
-    } else {
+    try {
       applied = cursor.apply(sh.rt, budget);
+    } catch (const std::runtime_error&) {
+      failed = true;
+      ++sh.failures;
     }
     sh.stats.read_mismatches += cursor.read_mismatches() - mismatches_before;
     if (req.kind == RequestKind::kRead) {
@@ -540,21 +496,17 @@ void HeapService::execute_request(ShardState& sh, const Request& req,
     sh.stats.read_mismatches += mismatches;
   } else {
     steps = steps_for(req.kind, traffic_.config().steps_per_request);
-    if (sh.resilient) {
-      // Graceful degradation: an unrecoverable collection (every rung of
-      // the escalation ladder failed) or heap exhaustion kills THIS
-      // request, not the fleet. The heap still holds the recovery
-      // ladder's restored pre-cycle image and the shadow was only mutated
-      // by fully completed steps, so shard state stays consistent; the
-      // supervisor quarantines and restores at the next conductor join.
-      try {
-        for (std::uint32_t i = 0; i < steps; ++i) sh.mutator.step(sh.rt);
-      } catch (const std::runtime_error&) {
-        failed = true;
-        ++sh.failures;
-      }
-    } else {
+    // Graceful degradation: an unrecoverable collection (every rung of the
+    // escalation ladder failed) or heap exhaustion kills THIS request, not
+    // the fleet. The heap still holds the recovery ladder's restored
+    // pre-cycle image and the shadow was only mutated by fully completed
+    // steps, so shard state stays consistent; under supervision the
+    // supervisor quarantines and restores at the next conductor join.
+    try {
       for (std::uint32_t i = 0; i < steps; ++i) sh.mutator.step(sh.rt);
+    } catch (const std::runtime_error&) {
+      failed = true;
+      ++sh.failures;
     }
   }
   // Cycles of exhaustion-triggered collection during this request's own
@@ -780,17 +732,11 @@ void HeapService::serve(std::uint64_t requests) {
     // read live shard state skip both the fleet join and the observation
     // build (the big O(shards)-per-request cost at 1000-shard scale).
     std::optional<std::size_t> pick;
-    switch (needs) {
-      case ObservationNeeds::kNone:
-        pick = scheduler_->pick(fleet_size_view_);
-        break;
-      case ObservationNeeds::kFleetSize:
-        pick = scheduler_->pick(fleet_size_view_);
-        break;
-      case ObservationNeeds::kFull:
-        pool_->join_all();
-        pick = scheduler_->pick(observations(req.arrival));
-        break;
+    if (needs == ObservationNeeds::kFull) {
+      pool_->join_all();
+      pick = scheduler_->pick(observations(req.arrival));
+    } else {
+      pick = scheduler_->pick(fleet_size_view_);
     }
     if (pick) {
       ShardState& sched_target = *shards_[*pick];
@@ -815,7 +761,7 @@ const SloStats& HeapService::shard_stats(std::size_t shard) const {
 
 const std::vector<std::string>& HeapService::oracle_diagnostics(
     std::size_t shard) const {
-  return shards_.at(shard)->oracle_diagnostics;
+  return shards_.at(shard)->oracle.findings();
 }
 
 SloStats HeapService::fleet_stats() const {

@@ -43,7 +43,6 @@
 #include <vector>
 
 #include "fault/fault_storm.hpp"
-#include "heap/verifier.hpp"
 #include "profile/request_trace.hpp"
 #include "runtime/runtime.hpp"
 #include "service/scheduler.hpp"

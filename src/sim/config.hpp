@@ -115,9 +115,6 @@ struct CoprocessorConfig {
   /// Seed for the kRandom permutation stream (ignored by other policies).
   std::uint64_t schedule_seed = 0;
 
-  /// Record a per-cycle signal trace (costly; for debugging/inspection).
-  bool enable_trace = false;
-
   /// Event-driven fast-forward of the clock loop: when every core is
   /// quiescent (done, fail-stopped, or stalled on a condition only a
   /// future memory completion / fault window / watchdog boundary can

@@ -66,7 +66,6 @@ class ShardPool {
   ShardPool& operator=(const ShardPool&) = delete;
 
   bool parallel() const noexcept { return !workers_.empty(); }
-  std::size_t thread_count() const noexcept { return workers_.size(); }
 
   /// Enqueues a task on `key`'s FIFO lane. Inline mode runs it before
   /// returning (exceptions propagate to the caller directly).

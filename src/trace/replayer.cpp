@@ -5,7 +5,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "heap/verifier.hpp"
+#include "sim/fnv.hpp"
 #include "trace/recorder.hpp"
 
 namespace hwgc {
@@ -24,51 +24,7 @@ Word word_operand(const TraceOp& op, std::uint64_t v) {
   return static_cast<Word>(v);
 }
 
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-void fnv_u64(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h = (h ^ (v & 0xffu)) * kFnvPrime;
-    v >>= 8;
-  }
-}
-
 }  // namespace
-
-HarnessPlugin::HarnessPlugin(CollectorId id, HarnessConfig cfg) : id_(id) {
-  // The recorded op stream is the only mutator a replay may have: run the
-  // concurrent cycle's synthetic mutator and the snapshot collector's real
-  // mutator threads quiescent.
-  if (id == CollectorId::kConcurrent) cfg.mutator_registers = 0;
-  if (id == CollectorId::kSnapshot) cfg.mutator_threads = 0;
-  harness_ = make_harness(id, cfg);
-}
-
-GcCycleStats HarnessPlugin::collect(Heap& heap) {
-  last_ = harness_->collect(heap);
-  has_report_ = true;
-  if (last_.coproc.has_value()) return *last_.coproc;
-  GcCycleStats stats;
-  stats.objects_copied = last_.objects_copied;
-  stats.words_copied = last_.words_copied;
-  stats.lock_order_violations = last_.lock_order_violations;
-  if (last_.snapshot.has_value()) {
-    // The pauseless collector has a virtual clock of its own: total wall
-    // time is the two pauses plus the overlapped concurrent phase, and the
-    // barrier/reconciliation counters ride the coprocessor stat block into
-    // hwgc-bench-v1.
-    stats.total_cycles =
-        last_.snapshot->pause_cycles + last_.snapshot->concurrent_cycles;
-    stats.snapshot_stores = last_.snapshot->snapshot_stores;
-    stats.reconciliation_repairs = last_.snapshot->reconciliation_repairs;
-    stats.safe_point_waits = last_.snapshot->safe_point_waits;
-  }
-  // Software collectors run outside the coprocessor clock; the stats they
-  // cannot fill stay zero and restart_stores_drained stays true (their
-  // stores are plain memory writes, committed before collect() returns).
-  return stats;
-}
 
 TraceCursor::TraceCursor(const Trace* trace, bool wrap)
     : trace_(trace), wrap_(wrap) {
@@ -86,20 +42,20 @@ std::uint64_t TraceCursor::live_ids() const noexcept {
 }
 
 std::uint64_t TraceCursor::live_graph_digest(Runtime& rt) const {
-  std::uint64_t h = kFnvOffset;
+  Fnv1a h;
   for (std::size_t id = 0; id < refs_.size(); ++id) {
     if (refs_[id].empty()) continue;
     const Runtime::Ref ref = refs_[id].front();
-    fnv_u64(h, id);
+    h.mix(id);
     const Word pi = rt.pi(ref);
     const Word delta = rt.delta(ref);
-    fnv_u64(h, pi);
-    fnv_u64(h, delta);
-    for (Word j = 0; j < delta; ++j) fnv_u64(h, rt.get_data(ref, j));
-    for (Word f = 0; f < pi; ++f) fnv_u64(h, children_[id][f]);
-    fnv_u64(h, refs_[id].size());
+    h.mix(pi);
+    h.mix(delta);
+    for (Word j = 0; j < delta; ++j) h.mix(rt.get_data(ref, j));
+    for (Word f = 0; f < pi; ++f) h.mix(children_[id][f]);
+    h.mix(refs_[id].size());
   }
-  return h;
+  return h.h;
 }
 
 void TraceCursor::wrap_around(Runtime& rt) {
@@ -186,46 +142,6 @@ void TraceCursor::apply_one(Runtime& rt, const TraceOp& op) {
   }
 }
 
-namespace {
-
-/// Per-cycle conformance check: snapshot before, post-structure oracle
-/// after — for explicit and exhaustion-triggered cycles alike.
-class OracleObserver final : public CollectionObserver {
- public:
-  OracleObserver(CollectorId id, const HarnessPlugin* plugin,
-                 ReplayResult& result)
-      : id_(id), plugin_(plugin), result_(result) {}
-
-  void before_collection(Runtime& rt) override {
-    pre_ = HeapSnapshot::capture(rt.heap());
-  }
-
-  void after_collection(Runtime& rt, const GcCycleStats& stats) override {
-    const CycleReport report = (plugin_ != nullptr && plugin_->has_report())
-                                   ? plugin_->last_report()
-                                   : coprocessor_report(stats);
-    std::vector<std::string> errors;
-    check_post_structure(id_, pre_, rt.heap(), report, errors);
-    const std::string where =
-        "cycle " + std::to_string(result_.collections) + ": ";
-    for (std::string& e : errors) {
-      if (result_.findings.size() < 64) {
-        result_.findings.push_back(where + std::move(e));
-      }
-      result_.ok = false;
-    }
-    ++result_.collections;
-  }
-
- private:
-  CollectorId id_;
-  const HarnessPlugin* plugin_;
-  ReplayResult& result_;
-  HeapSnapshot pre_;
-};
-
-}  // namespace
-
 std::string ReplayResult::summary() const {
   std::ostringstream os;
   os << (ok ? "ok" : "FAIL") << ": " << ops_applied << " ops, " << collections
@@ -241,24 +157,18 @@ ReplayResult replay_trace(const Trace& trace, const ReplayConfig& cfg) {
   const TraceHeader& h = trace.header;
   const Word semispace =
       cfg.semispace_words != 0 ? cfg.semispace_words : h.semispace_words;
-  Runtime rt(semispace, h.sim_config());
-
-  std::unique_ptr<HarnessPlugin> plugin;
-  if (cfg.collector != CollectorId::kCoprocessor) {
-    HarnessConfig hc;
-    static_cast<CoprocessorKnobs&>(hc) = h;
-    hc.cores = cfg.threads;
-    if (cfg.schedule_seed != ~std::uint64_t{0}) {
-      hc.schedule_seed = cfg.schedule_seed;
-    }
-    hc.torture.seed = hc.schedule_seed;
-    plugin = std::make_unique<HarnessPlugin>(cfg.collector, hc);
-    rt.set_collector(plugin.get());
-  } else {
-    rt.set_cycle_observer(cfg.observer);
+  // The simulators run the header's knobs; the software collectors take
+  // the worker count and the (possibly overridden) schedule seed.
+  HarnessConfig hc;
+  static_cast<CoprocessorKnobs&>(hc) = h;
+  hc.cores = cfg.threads;
+  if (cfg.schedule_seed != ~std::uint64_t{0}) {
+    hc.schedule_seed = cfg.schedule_seed;
   }
-
-  OracleObserver oracle(cfg.collector, plugin.get(), result);
+  hc.torture.seed = hc.schedule_seed;
+  Runtime rt(semispace, h.sim_config(), cfg.collector, hc);
+  rt.set_cycle_observer(cfg.observer);
+  CycleOracle oracle("", 64);
   if (cfg.oracle) rt.set_collection_observer(&oracle);
 
   TraceRecorder rerec(h);
@@ -272,6 +182,8 @@ ReplayResult replay_trace(const Trace& trace, const ReplayConfig& cfg) {
   result.live_graph_digest = cursor.live_graph_digest(rt);
   result.gc_history = rt.gc_history();
   result.collections = result.gc_history.size();
+  result.findings = oracle.findings();
+  result.ok = oracle.failures() == 0;
   if (result.read_mismatches != 0) {
     result.ok = false;
     result.findings.push_back(std::to_string(result.read_mismatches) +

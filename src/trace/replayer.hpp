@@ -13,14 +13,14 @@
 // streams reproduce bit-for-bit on the coprocessor path.
 //
 // Self-verification: every collection is checked by the conformance
-// post-structure oracle (pre-cycle HeapSnapshot vs post heap), and every
+// per-cycle oracle (CycleOracle: pre-cycle HeapSnapshot vs post heap and
+// the cycle's report), and every
 // kRead op recomputes the FNV-1a data digest recorded at capture time — a
 // replay that passes has proven the collector under test preserved the
 // recorded workload's entire observable behavior.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -30,29 +30,6 @@
 #include "trace/trace_format.hpp"
 
 namespace hwgc {
-
-/// Runtime::CollectorPlugin adapter over a CollectorHarness: routes the
-/// runtime's collection cycles (explicit and exhaustion-triggered) through
-/// any collector in the inventory. The concurrent collector runs quiescent
-/// (mutator_registers forced to 0): the recorded op stream is the only
-/// mutator, so its reads/data must not be perturbed by a synthetic one.
-class HarnessPlugin final : public CollectorPlugin {
- public:
-  HarnessPlugin(CollectorId id, HarnessConfig cfg);
-
-  GcCycleStats collect(Heap& heap) override;
-
-  CollectorId id() const noexcept { return id_; }
-  /// Report of the most recent cycle (for the per-cycle oracle).
-  const CycleReport& last_report() const noexcept { return last_; }
-  bool has_report() const noexcept { return has_report_; }
-
- private:
-  CollectorId id_;
-  std::unique_ptr<CollectorHarness> harness_;
-  CycleReport last_;
-  bool has_report_ = false;
-};
 
 /// Incremental trace application — the heapd session driver. Owns the
 /// per-id Ref table; apply() advances through the op stream in request-
@@ -116,8 +93,8 @@ struct ReplayConfig {
   /// Re-record the replay through a fresh TraceRecorder (round-trip
   /// identity proof); the result lands in ReplayResult::rerecorded.
   bool rerecord = false;
-  /// Observes every coprocessor-path collection when non-null (the
-  /// SignalTrace bit-identity proof). Ignored for harness collectors.
+  /// Observes every coprocessor collection when non-null (the SignalTrace
+  /// bit-identity proof). The other collectors run outside its clock.
   CycleObserver* observer = nullptr;
 };
 

@@ -10,6 +10,7 @@
 
 #include "core/schedule_policy.hpp"
 #include "heap/object_model.hpp"
+#include "sim/fnv.hpp"
 #include "telemetry/jsonl.hpp"
 
 namespace hwgc {
@@ -17,20 +18,6 @@ namespace hwgc {
 namespace {
 
 constexpr char kMagic[8] = {'H', 'W', 'G', 'C', 'T', 'R', 'C', '1'};
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-void fnv_u8(std::uint64_t& h, std::uint8_t byte) {
-  h = (h ^ byte) * kFnvPrime;
-}
-
-void fnv_u64(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    fnv_u8(h, static_cast<std::uint8_t>(v & 0xffu));
-    v >>= 8;
-  }
-}
-
 [[noreturn]] void fail(const std::string& msg) {
   throw TraceError("hwgc-trace-v1: " + msg);
 }
@@ -82,14 +69,14 @@ const char* to_string(TraceOp::Kind k) noexcept {
 }
 
 std::uint64_t Trace::digest() const {
-  std::uint64_t h = kFnvOffset;
+  Fnv1a f;
   for (const TraceOp& op : ops) {
-    fnv_u8(h, static_cast<std::uint8_t>(op.kind));
-    fnv_u64(h, op.a);
-    fnv_u64(h, op.b);
-    fnv_u64(h, op.c);
+    f.byte(static_cast<std::uint8_t>(op.kind));
+    f.mix(op.a);
+    f.mix(op.b);
+    f.mix(op.c);
   }
-  return h;
+  return f.h;
 }
 
 std::uint64_t Trace::objects() const {
@@ -277,10 +264,10 @@ Trace scale_trace_sizes(const Trace& trace, double factor) {
         }
         break;
       case TraceOp::Kind::kRead: {
-        std::uint64_t digest = kFnvOffset;
         if (op.a < data.size()) {
-          for (std::uint64_t w : data[op.a]) fnv_u64(digest, w);
-          out.ops.push_back({op.kind, op.a, deltas[op.a], digest});
+          Fnv1a digest;
+          for (std::uint64_t w : data[op.a]) digest.mix(w);
+          out.ops.push_back({op.kind, op.a, deltas[op.a], digest.h});
         }
         break;
       }

@@ -7,6 +7,7 @@
 #include <unordered_map>
 
 #include "heap/object_model.hpp"
+#include "sim/fnv.hpp"
 
 namespace hwgc {
 
@@ -216,14 +217,9 @@ std::size_t ShadowMutator::validate(Runtime& rt) const {
 }
 
 std::uint64_t ShadowMutator::data_digest(const std::vector<Word>& data) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (Word w : data) {
-    for (int byte = 0; byte < 8; ++byte) {
-      h = (h ^ (w & 0xffu)) * 1099511628211ull;
-      w >>= 8;
-    }
-  }
-  return h;
+  Fnv1a h;
+  for (Word w : data) h.mix(w);
+  return h.h;
 }
 
 std::size_t ShadowMutator::probe(Runtime& rt, std::size_t* mismatches) {

@@ -1,59 +1,10 @@
-// GraphBuilder convenience layer and ShadowMutator internals.
+// ShadowMutator internals.
 #include <gtest/gtest.h>
 
-#include "baselines/sequential_cheney.hpp"
-#include "heap/verifier.hpp"
-#include "workloads/graph_builder.hpp"
 #include "workloads/mutator.hpp"
 
 namespace hwgc {
 namespace {
-
-TEST(GraphBuilder, BuildsAndTracksNodes) {
-  Heap heap(4096);
-  GraphBuilder gb(heap, 7);
-  const Addr a = gb.node(2, 3);
-  const Addr b = gb.node(0, 1);
-  gb.link(a, 0, b);
-  gb.add_root(a);
-  EXPECT_EQ(gb.count(), 2u);
-  EXPECT_EQ(gb.nodes().size(), 2u);
-  EXPECT_EQ(heap.pointer(a, 0), b);
-  EXPECT_EQ(heap.roots().size(), 1u);
-  // Data fill pattern must be deterministic and non-zero.
-  EXPECT_NE(heap.data(a, 0), 0u);
-  Heap heap2(4096);
-  GraphBuilder gb2(heap2, 7);
-  const Addr a2 = gb2.node(2, 3);
-  EXPECT_EQ(heap.data(a, 1), heap2.data(a2, 1));
-}
-
-TEST(GraphBuilder, ThrowsOnExhaustion) {
-  Heap heap(32);
-  GraphBuilder gb(heap);
-  gb.node(0, 10);
-  EXPECT_THROW(gb.node(0, 20), std::runtime_error);
-}
-
-TEST(GraphBuilder, BuiltGraphCollectsCorrectly) {
-  Heap heap(8192);
-  GraphBuilder gb(heap, 11);
-  // A small diamond with a cycle back to the top.
-  const Addr top = gb.node(2, 1);
-  const Addr l = gb.node(1, 2);
-  const Addr r = gb.node(1, 2);
-  const Addr bottom = gb.node(1, 0);
-  gb.link(top, 0, l);
-  gb.link(top, 1, r);
-  gb.link(l, 0, bottom);
-  gb.link(r, 0, bottom);
-  gb.link(bottom, 0, top);  // cycle
-  gb.add_root(top);
-  const HeapSnapshot pre = HeapSnapshot::capture(heap);
-  EXPECT_EQ(pre.objects.size(), 4u);
-  SequentialCheney::collect(heap);
-  EXPECT_TRUE(verify_collection(pre, heap).ok);
-}
 
 TEST(ShadowMutator, TracksLiveRootedCount) {
   Runtime rt(1 << 14);

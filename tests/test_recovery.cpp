@@ -9,12 +9,14 @@
 #include <string>
 #include <vector>
 
+#include "conformance/conformance.hpp"
 #include "core/coprocessor.hpp"
 #include "fault/recovery.hpp"
 #include "heap/verifier.hpp"
 #include "runtime/runtime.hpp"
 #include "sim/trace.hpp"
 #include "workloads/benchmarks.hpp"
+#include "workloads/mutator.hpp"
 
 namespace hwgc {
 namespace {
@@ -375,6 +377,69 @@ TEST(Runtime, SignalTraceSeesFaultAndRecoveryRuns) {
   }
   EXPECT_EQ(fault_notes, rt.recovery_history()[0].fault_log.size());
   EXPECT_GE(recovery_notes, 2u);  // an aborted attempt, then the fallback
+}
+
+TEST(Runtime, FaultedConfigRefusedByNonCoprocessorCollector) {
+  // Only the coprocessor's recovery ladder owns a faulted cycle; any other
+  // collector refuses it before touching the heap or the observers.
+  SimConfig cfg;
+  cfg.fault.seed = 5;
+  cfg.fault.events = 3;
+  Runtime rt(1 << 12, cfg, CollectorId::kSequential);
+  CycleOracle oracle("", 64);
+  rt.set_collection_observer(&oracle);
+  Runtime::Ref a = rt.alloc(1, 2);
+  rt.set_ptr(a, 0, rt.alloc(0, 3));
+  EXPECT_THROW(rt.collect(), std::logic_error);
+  EXPECT_TRUE(rt.gc_history().empty());
+  EXPECT_TRUE(rt.recovery_history().empty());
+
+  rt.set_fault_config(FaultConfig{});
+  rt.collect();
+  ASSERT_EQ(rt.gc_history().size(), 1u);
+  EXPECT_EQ(rt.gc_history()[0].objects_copied, 2u);
+  EXPECT_EQ(oracle.failures(), 0u)
+      << (oracle.findings().empty() ? "" : oracle.findings().front());
+}
+
+TEST(CycleOracle, HoldsFaultedRuntimeCyclesToTheFullContract) {
+  // Every cycle of a fault-injected Runtime — explicit or allocation-
+  // triggered, recovered, retried or finished by the sequential fallback —
+  // is checked against the report the Runtime's harness kept: liveness,
+  // forwarding bijectivity, the evacuation counters and the recovery
+  // accounting, not liveness alone.
+  SimConfig cfg;
+  cfg.coprocessor.num_cores = 4;
+  cfg.fault.seed = 3;
+  cfg.fault.events = 4;
+  cfg.fault.trigger_scale = 48;
+  Runtime rt(1024, cfg);
+  CycleOracle oracle("", 64);
+  rt.set_collection_observer(&oracle);
+  ShadowMutator m({.seed = 5, .target_live = 24});
+  for (int i = 0; i < 4000; ++i) m.step(rt);
+  rt.collect();
+  ASSERT_GE(rt.gc_history().size(), 3u);
+  ASSERT_EQ(rt.recovery_history().size(), rt.gc_history().size());
+  std::uint64_t fired = 0;
+  for (const RecoveryReport& r : rt.recovery_history()) fired += r.faults_fired;
+  EXPECT_GT(fired, 0u) << "faults must fire for this test to mean anything";
+  EXPECT_EQ(oracle.failures(), 0u)
+      << (oracle.findings().empty() ? "" : oracle.findings().front());
+  EXPECT_EQ(m.validate(rt), 0u);
+
+  // One more cycle, its report's evacuation counter off by one. The
+  // Runtime is not const, so writing through its report is defined.
+  rt.set_collection_observer(nullptr);
+  oracle.before_collection(rt);
+  const GcCycleStats& s = rt.collect();
+  ++const_cast<CycleReport&>(rt.last_report()).evacuations;
+  oracle.after_collection(rt, s);
+  EXPECT_EQ(oracle.failures(), 1u);
+  ASSERT_EQ(oracle.findings().size(), 1u);
+  EXPECT_NE(oracle.findings().front().find("evacuation count"),
+            std::string::npos)
+      << oracle.findings().front();
 }
 
 }  // namespace

@@ -158,6 +158,26 @@ TEST(HeapService, FaultShardRecoversNeighborsUnperturbed) {
   }
 }
 
+TEST(HeapService, ExhaustionFailsRequestsNotTheFleet) {
+  // An undersized fleet: 2048-word shards whose churn outgrows the
+  // semispace. An allocation that still fails after a collection fails
+  // its request; the shard keeps serving and every request is accounted.
+  ServiceConfig cfg;
+  cfg.shards = 4;
+  cfg.semispace_words = 2048;
+  cfg.sim.coprocessor.num_cores = 4;
+  cfg.traffic.seed = 4;
+  HeapService service(cfg);
+  service.serve(20000);
+
+  const SloStats fleet = service.fleet_stats();
+  EXPECT_EQ(fleet.offered, 20000u);
+  EXPECT_GT(fleet.failed, 0u) << "the fleet must reach exhaustion";
+  EXPECT_EQ(fleet.completed + fleet.rejected + fleet.failed, fleet.offered);
+  EXPECT_EQ(fleet.oracle_failures, 0u);
+  EXPECT_EQ(service.validate_all_shards(), 0u);
+}
+
 TEST(HeapService, ServeIsResumable) {
   HeapService service(small_config(2, GcSchedulerKind::kProactive));
   service.serve(1000);
