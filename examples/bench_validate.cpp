@@ -1,13 +1,15 @@
 // bench_validate — schema gate for hwgc JSONL metric files.
 //
 // Validates every line of every file named on the command line against the
-// stable schema its "schema" field names, one of four:
-//   hwgc-bench-v1    collection-cycle aggregates (telemetry/metrics.hpp)
-//   hwgc-service-v1  request latency + SLO accounting
-//                    (service/service_metrics.hpp)
-//   hwgc-profile-v1  stall attribution + request span trees
-//                    (profile/profile_metrics.hpp)
-//   hwgc-trace-v1    recorded mutator traces (trace/trace_format.hpp)
+// stable schema its "schema" field names, one of five:
+//   hwgc-bench-v1       collection-cycle aggregates (telemetry/metrics.hpp)
+//   hwgc-service-v1     request latency + SLO accounting
+//                       (service/service_metrics.hpp)
+//   hwgc-profile-v1     stall attribution + request span trees
+//                       (profile/profile_metrics.hpp)
+//   hwgc-trace-v1       recorded mutator traces (trace/trace_format.hpp)
+//   hwgc-trajectory-v1  the per-change benchmark trajectory
+//                       (telemetry/trajectory.hpp)
 // Required keys present and correctly typed (each schema's field table),
 // then the schema's identities: fractions within [0, 1], percentile
 // ordering, exact stall accounting (service + queue + stall ==

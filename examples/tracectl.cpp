@@ -13,7 +13,9 @@
 //
 // replay exit status is 0 only if every cycle passed the conformance
 // post-structure oracle, every read probe matched its recorded digest, and
-// (under --all) every collector produced the same live-graph digest.
+// (under --all) every collector produced the same live-graph digest. Each
+// line names the semispace it ran at: the recorded one, except that --all
+// gives the chunk/LAB collectors differential_semispace_words().
 #include <cstdio>
 #include <map>
 #include <optional>
@@ -120,8 +122,17 @@ int cmd_replay(int argc, char** argv) {
   std::optional<std::uint64_t> reference_digest;
   for (CollectorId id : ids) {
     cfg.collector = id;
+    // Under --all the chunk/LAB collectors get differential headroom, so
+    // their interleaving-dependent waste cannot fail the comparison; the
+    // dense collectors, and --collector X, run at the recorded size.
+    cfg.semispace_words = all && !traits_of(id).dense
+                              ? differential_semispace_words(trace.header)
+                              : 0;
     const ReplayResult r = replay_trace(trace, cfg);
-    std::printf("%-12s %s\n", to_string(id), r.summary().c_str());
+    std::printf("%-12s semispace %u: %s\n", to_string(id),
+                cfg.semispace_words != 0 ? cfg.semispace_words
+                                         : trace.header.semispace_words,
+                r.summary().c_str());
     if (!r.ok) ok = false;
     if (!reference_digest) {
       reference_digest = r.live_graph_digest;

@@ -2,6 +2,7 @@
 
 #include "profile/profile_metrics.hpp"
 #include "telemetry/metrics.hpp"
+#include "telemetry/trajectory.hpp"
 #include "trace/trace_format.hpp"
 
 namespace hwgc {
@@ -188,6 +189,7 @@ bool validate_metrics_jsonl_file(const std::string& path,
       {kServiceSchema, &validate_service_jsonl_line},
       {kProfileSchema, &validate_profile_jsonl_line},
       {kTraceSchema, &validate_trace_jsonl_line},
+      {kTrajectorySchema, &validate_trajectory_jsonl_line},
   };
   return validate_jsonl_file(path, kSchemas, only, errors);
 }

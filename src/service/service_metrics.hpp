@@ -62,11 +62,11 @@ std::string profile_report_jsonl(const HeapService& service,
 
 /// The file gate over every hwgc schema: validates each line of `path`
 /// against the schema its "schema" field names (hwgc-bench-v1,
-/// hwgc-service-v1, hwgc-profile-v1 or hwgc-trace-v1); unknown or missing
-/// schemas are violations, and duplicate profile span ids are caught
-/// file-wide. A non-empty `only` validates every line against that one
-/// schema instead. This is what examples/bench_validate runs over CI
-/// artifacts and committed snapshots.
+/// hwgc-service-v1, hwgc-profile-v1, hwgc-trace-v1 or hwgc-trajectory-v1);
+/// unknown or missing schemas are violations, and duplicate profile span
+/// ids are caught file-wide. A non-empty `only` validates every line
+/// against that one schema instead. This is what examples/bench_validate
+/// runs over CI artifacts and committed snapshots.
 bool validate_metrics_jsonl_file(const std::string& path,
                                  std::vector<std::string>* errors,
                                  std::string_view only = {});

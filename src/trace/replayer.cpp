@@ -1,5 +1,6 @@
 #include "trace/replayer.hpp"
 
+#include <algorithm>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -150,6 +151,12 @@ std::string ReplayResult::summary() const {
   if (read_mismatches != 0) os << ", " << read_mismatches << " read mismatches";
   for (const std::string& f : findings) os << "\n  " << f;
   return os.str();
+}
+
+Word differential_semispace_words(const TraceHeader& header) {
+  return static_cast<Word>(std::min<std::uint64_t>(
+      2 * std::uint64_t{header.semispace_words},
+      std::numeric_limits<Word>::max()));
 }
 
 ReplayResult replay_trace(const Trace& trace, const ReplayConfig& cfg) {

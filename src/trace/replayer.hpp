@@ -113,6 +113,14 @@ struct ReplayResult {
   std::string summary() const;
 };
 
+/// The semispace of a differential replay (several collectors over one
+/// trace, live-graph digests compared): twice the recorded size, saturated
+/// at the largest Word. How much to-space the chunk/LAB collectors waste
+/// depends on host-thread interleaving, so at the recorded size they can
+/// exhaust on some runs and not others; the live graph a replay ends with
+/// does not depend on where its implicit cycles land.
+Word differential_semispace_words(const TraceHeader& header);
+
 /// Replays a whole trace against a fresh Runtime built from the trace
 /// header (semispace, cores, FIFO, schedule, jitter). The trace must have
 /// come through load_trace/check_trace — replay assumes structural

@@ -1,6 +1,6 @@
 // Table-driven schema tests: each JSONL record kind (hwgc-bench-v1,
 // hwgc-service-v1, hwgc-profile-v1 attribution and span, hwgc-trace-v1
-// header and op) is declared once,
+// header and op, hwgc-trajectory-v1) is declared once,
 // as a field table that drives both its writer and its validator. For a
 // writer-produced line of each kind, every field of the table must be
 // emitted in table order, required (deleting it yields `missing field
@@ -18,6 +18,7 @@
 #include "service/service_metrics.hpp"
 #include "telemetry/jsonl.hpp"
 #include "telemetry/metrics.hpp"
+#include "telemetry/trajectory.hpp"
 #include "trace/corpus.hpp"
 #include "trace/trace_format.hpp"
 
@@ -129,6 +130,58 @@ TEST(JsonlSchema, TraceTablesDriveWriterAndValidator) {
                                 &validate_trace_jsonl_line);
   expect_table_drives_validator(first_line(ops), trace_op_fields(),
                                 &validate_trace_jsonl_line);
+}
+
+TrajectoryRow trajectory_row() {
+  TrajectoryRow row;
+  row.commit = "0123abc";
+  row.label = "unit";
+  row.host = "4-core x86_64, g++ 12, Release";
+  for (const char* w : {"fig5_collect_", "serve_lisp_"}) {
+    const std::string p = w;
+    row.metrics[p + "run_s"] = 1.25;
+    row.metrics[p + "setup_s"] = 0.5;
+    row.metrics[p + "peak_rss_mb"] = 64.0;
+    row.metrics[p + "gc_cycles"] = 1000;
+    row.metrics[p + "lat_p50_clk"] = 10;
+    row.metrics[p + "lat_p99_clk"] = 20;
+    row.metrics[p + "lat_p999_clk"] = 30;
+    row.metrics[p + "slo_miss_frac"] = 0.01;
+    row.metrics[p + "ns_per_sim_cycle"] = 40.0;
+  }
+  row.ctest_wall_s = 9.5;
+  return row;
+}
+
+TEST(JsonlSchema, TrajectoryTableDrivesWriterAndValidator) {
+  std::string line;
+  trajectory_table().render(trajectory_row(), line);
+  expect_table_drives_validator(first_line(line), trajectory_table().fields(),
+                                &validate_trajectory_jsonl_line);
+}
+
+TEST(JsonlSchema, TrajectoryValidatorChecksItsIdentities) {
+  const auto rejects = [](TrajectoryRow row, const std::string& what) {
+    std::string line, err;
+    trajectory_table().render(row, line);
+    EXPECT_FALSE(validate_trajectory_jsonl_line(first_line(line), &err));
+    EXPECT_NE(err.find(what), std::string::npos) << err;
+  };
+  TrajectoryRow row = trajectory_row();
+  row.commit.clear();
+  rejects(row, "commit is empty");
+  row = trajectory_row();
+  row.metrics["serve_lisp_lat_p99_clk"] = 40;
+  rejects(row, "serve_lisp_latency percentiles not ordered");
+  row = trajectory_row();
+  row.metrics["fig5_collect_slo_miss_frac"] = 1.5;
+  rejects(row, "fig5_collect_slo_miss_frac outside [0,1]");
+  row = trajectory_row();
+  row.metrics["fig5_collect_run_s"] = 0.0;
+  rejects(row, "must be > 0");
+  row = trajectory_row();
+  row.ctest_wall_s = 0.0;
+  rejects(row, "ctest_wall_s must be > 0");
 }
 
 std::set<std::string> names_with_prefix(const std::vector<JsonField>& fields,

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -122,13 +123,10 @@ TEST(TraceReplayMatrix, CorpusAllCollectorsTwoSeedsMatchSequential) {
   for (const std::string& file : files) {
     const Trace trace = load_trace(file);
 
-    // The chunk/LAB collectors' wasted to-space depends on host-thread
-    // interleaving, so a tightly recorded semispace can exhaust on some
-    // runs and not others. The matrix compares end-state structure (which
-    // does not depend on where implicit cycles land), so give every run —
-    // reference included — uniform 2x headroom; boundary exactness is
-    // covered by the round-trip tests at the recorded size.
-    const Word matrix_semispace = 2 * trace.header.semispace_words;
+    // Every run, reference included, gets the same differential headroom;
+    // boundary exactness is covered by the round-trip tests at the
+    // recorded size.
+    const Word matrix_semispace = differential_semispace_words(trace.header);
 
     // Sequential Cheney is the reference every collector must agree with.
     ReplayConfig ref_cfg;
@@ -160,6 +158,14 @@ TEST(TraceReplayMatrix, CorpusAllCollectorsTwoSeedsMatchSequential) {
       }
     }
   }
+}
+
+TEST(TraceReplayMatrix, DifferentialHeadroomDoublesAndSaturates) {
+  TraceHeader h;
+  h.semispace_words = 1200;
+  EXPECT_EQ(differential_semispace_words(h), 2400u);
+  h.semispace_words = std::numeric_limits<Word>::max() / 2 + 1;
+  EXPECT_EQ(differential_semispace_words(h), std::numeric_limits<Word>::max());
 }
 
 // --- 2. Round-trip identity ----------------------------------------------

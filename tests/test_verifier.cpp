@@ -3,6 +3,10 @@
 // that it actually fails (a verifier that always says OK proves nothing).
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+#include <vector>
+
 #include "baselines/sequential_cheney.hpp"
 #include "heap/object_model.hpp"
 #include "heap/verifier.hpp"
@@ -15,6 +19,13 @@ struct Collected {
   Workload w;
   HeapSnapshot pre;
 };
+
+bool has_error(const VerifyResult& res, const std::string& needle) {
+  for (const auto& e : res.errors) {
+    if (e.find(needle) != std::string::npos) return true;
+  }
+  return false;
+}
 
 Collected collect_jlisp() {
   Collected c{make_benchmark(BenchmarkId::kJlisp, 0.05), {}};
@@ -42,6 +53,110 @@ TEST(Verifier, SnapshotCoversExactlyTheReachableSet) {
   const HeapSnapshot snap = HeapSnapshot::capture(*w.heap);
   EXPECT_EQ(snap.objects.size(), 2u) << "garbage must not be snapshotted";
   EXPECT_EQ(snap.live_words, object_words(2, 1) + object_words(1, 0));
+}
+
+TEST(Verifier, SnapshotMatchesAHandWrittenBfs) {
+  // Two roots share a child, a cycle runs back to the first root, and the
+  // first root is registered twice.
+  GraphPlan p;
+  const auto r1 = p.add(2, 1);
+  const auto r2 = p.add(1, 0);
+  const auto shared = p.add(1, 2);
+  const auto back = p.add(1, 1);
+  const auto leaf = p.add(0, 3);
+  const auto dead = p.add(1, 1, /*garbage=*/true);
+  p.link(r1, 0, shared);
+  p.link(r1, 1, back);
+  p.link(r2, 0, shared);
+  p.link(shared, 0, leaf);
+  p.link(back, 0, r1);  // cycle
+  p.link(dead, 0, leaf);
+  p.add_root(r1);
+  p.add_root(r2);
+  p.add_root(r1);
+  Workload w = materialize(p);
+  const Heap& heap = *w.heap;
+  const HeapSnapshot snap = HeapSnapshot::capture(heap);
+
+  // Roots first, then children in field order, each object once.
+  const std::vector<std::uint32_t> bfs = {r1, r2, shared, back, leaf};
+  ASSERT_EQ(snap.objects.size(), bfs.size());
+  EXPECT_EQ(snap.live_words, object_words(2, 1) + object_words(1, 0) +
+                                 object_words(1, 2) + object_words(1, 1) +
+                                 object_words(0, 3));
+  Word words = 0;
+  for (std::size_t s = 0; s < bfs.size(); ++s) {
+    const Addr a = w.node_addrs[bfs[s]];
+    const HeapSnapshot::ObjectRecord& rec = snap.objects[s];
+    EXPECT_EQ(rec.addr, a) << "slot " << s;
+    EXPECT_EQ(snap.slot_of(a), s);
+    EXPECT_EQ(rec.pi, heap.pi(a));
+    EXPECT_EQ(rec.delta, heap.delta(a));
+    EXPECT_EQ(rec.first, words) << "words are packed in BFS order";
+    words += rec.pi + rec.delta;
+    for (Word i = 0; i < rec.pi; ++i) {
+      EXPECT_EQ(snap.pointers(rec)[i], heap.pointer(a, i));
+    }
+    for (Word j = 0; j < rec.delta; ++j) {
+      EXPECT_EQ(snap.data(rec)[j], heap.data(a, j));
+    }
+  }
+  EXPECT_EQ(snap.words.size(), words);
+  EXPECT_EQ(snap.pointers(snap.objects[3])[0], w.node_addrs[r1]);
+  EXPECT_EQ(snap.slot_of(w.node_addrs[dead]), HeapSnapshot::kNoSlot);
+}
+
+std::string hex_addr(Addr a) {
+  char buf[16];
+  std::snprintf(buf, sizeof buf, "0x%x", a);
+  return buf;
+}
+
+TEST(Verifier, OutsideSpacePointersTakeTheFallbackAndAreNamed) {
+  // A corrupt heap: a root and a field point into the other semispace,
+  // outside the snapshot's dense slot table.
+  GraphPlan p;
+  const auto a = p.add(2, 0);
+  const auto b = p.add(0, 1);
+  p.link(a, 0, b);
+  p.add_root(a);
+  Workload w = materialize(p);
+  Heap& heap = *w.heap;
+  WordMemory& mem = heap.memory();
+  const Addr other = heap.layout().tospace_base();
+  const Addr by_root = other;      // pi 0, delta 1
+  const Addr by_field = other + 4;  // pi 1 (-> b), delta 1
+  mem.store(attributes_addr(by_root), make_attributes(0, 1));
+  mem.store(data_field_addr(by_root, 0, 0), 0xfeed);
+  mem.store(attributes_addr(by_field), make_attributes(1, 1));
+  mem.store(pointer_field_addr(by_field, 0), w.node_addrs[b]);
+  mem.store(data_field_addr(by_field, 1, 0), 0xbeef);
+  heap.roots().push_back(by_root);
+  heap.set_pointer(w.node_addrs[a], 1, by_field);
+
+  const HeapSnapshot pre = HeapSnapshot::capture(heap);
+  ASSERT_EQ(pre.objects.size(), 4u);
+  EXPECT_EQ(pre.slot_of(by_root), 1u);
+  EXPECT_EQ(pre.slot_of(by_field), 3u);
+  const HeapSnapshot::ObjectRecord& rec = pre.objects[3];
+  EXPECT_EQ(rec.addr, by_field);
+  ASSERT_EQ(rec.pi, 1u);
+  EXPECT_EQ(pre.pointers(rec)[0], w.node_addrs[b]);
+  EXPECT_EQ(pre.data(rec)[0], 0xbeefu);
+  EXPECT_EQ(pre.data(pre.objects[1])[0], 0xfeedu);
+  EXPECT_EQ(pre.live_words, object_words(2, 0) + object_words(0, 1) +
+                                object_words(0, 1) + object_words(1, 1));
+
+  // A "collection" that flipped and forwarded nothing: every snapshotted
+  // object is named, the two outside ones included.
+  heap.flip();
+  const VerifyResult res = verify_collection(pre, heap);
+  ASSERT_FALSE(res.ok);
+  for (Addr obj : {by_root, by_field}) {
+    EXPECT_TRUE(has_error(res, "live object " + hex_addr(obj) +
+                                   " was not evacuated"))
+        << res.summary();
+  }
 }
 
 TEST(Verifier, DetectsCorruptedDataWord) {
@@ -122,13 +237,6 @@ TEST(Verifier, DetectsMissedFlip) {
 // Four targeted corruptions, each asserting the SPECIFIC check fires (the
 // coarse !ok tests above can pass for the wrong reason).
 // ---------------------------------------------------------------------------
-
-bool has_error(const VerifyResult& res, const std::string& needle) {
-  for (const auto& e : res.errors) {
-    if (e.find(needle) != std::string::npos) return true;
-  }
-  return false;
-}
 
 TEST(Verifier, DroppedObjectNamesTheEvacuationCheck) {
   Collected c = collect_jlisp();
