@@ -1,12 +1,13 @@
 // gc_top — live terminal dashboard over the managed runtime.
 //
-// Churns a ShadowMutator against a small semispace so collection cycles
-// happen continuously, and redraws a per-core activity panel after every
-// cycle: busy/stall/idle bars, the dominant stall reason, worklist
-// occupancy, header-FIFO effectiveness and (with --faults) the recovery
-// ladder counters. This is the interactive face of the paper's Section
-// VI-A monitoring framework: the same hardware performance counters, read
-// once per collection instead of post-mortem.
+// Drives seeded churn (a TraceCursor over a ChurnSource) against a small
+// semispace so collection cycles happen continuously, and redraws a
+// per-core activity panel after every cycle: busy/stall/idle bars, the
+// dominant stall reason, worklist occupancy, header-FIFO effectiveness
+// and (with --faults) the recovery ladder counters. This is the
+// interactive face of the paper's Section VI-A monitoring framework: the
+// same hardware performance counters, read once per collection instead
+// of post-mortem.
 //
 // Flags: `gc_top --help`. --faults routes every collection through the
 // recovery ladder, whose counters join the panel. --profile adds the
@@ -42,7 +43,7 @@
 #include "sim/flags.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace_export.hpp"
-#include "workloads/mutator.hpp"
+#include "trace/replayer.hpp"
 
 using namespace hwgc;
 
@@ -110,7 +111,7 @@ CliOptions parse(int argc, char** argv) {
       .metavar("PATH");
   t.parse(argc, argv);
   if (o.cores == 0) t.fail("--cores must be >= 1");
-  const Word min_words = ShadowMutator::Config{}.max_object_words();
+  const Word min_words = ChurnSource::Config{}.max_object_words();
   if (o.heap_words < min_words) {
     t.fail("--heap-words must be >= " + std::to_string(min_words) +
            " (one max-shape object)");
@@ -152,7 +153,7 @@ StallReason dominant_stall(const CoreCounters& c) {
   return best;
 }
 
-void render(const CliOptions& o, const Runtime& rt, const ShadowMutator& mut) {
+void render(const CliOptions& o, const Runtime& rt, const TraceCursor& churn) {
   const auto& hist = rt.gc_history();
   const GcCycleStats& s = hist.back();
   if (!o.no_clear) std::printf("\x1b[2J\x1b[H");
@@ -169,7 +170,7 @@ void render(const CliOptions& o, const Runtime& rt, const ShadowMutator& mut) {
               static_cast<unsigned long long>(rt.words_in_use()),
               static_cast<unsigned long long>(o.heap_words),
               static_cast<unsigned long long>(rt.live_roots()),
-              static_cast<unsigned long long>(mut.allocations()));
+              static_cast<unsigned long long>(churn.ids()));
   std::printf("last cycle: %llu clk (%llu obj, %llu words copied), "
               "worklist empty %.1f%%\n",
               static_cast<unsigned long long>(s.total_cycles),
@@ -428,20 +429,17 @@ int main(int argc, char** argv) {
   TelemetryBus bus;
   if (!o.trace_json.empty()) rt.set_cycle_observer(&bus);
 
-  ShadowMutator::Config mcfg;
-  mcfg.seed = o.seed;
-  ShadowMutator mut(mcfg);
-
+  TraceCursor churn(ChurnSource({.seed = o.seed}));
   for (std::uint32_t n = 0; n < o.collections; ++n) {
-    mut.run(rt, o.every);
+    churn.apply(rt, o.every);
     rt.collect();
-    render(o, rt, mut);
+    render(o, rt, churn);
     if (o.interval_ms > 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(o.interval_ms));
     }
   }
 
-  const std::size_t mismatches = mut.validate(rt);
+  const std::size_t mismatches = churn.validate(rt);
   std::printf("\nshadow validation after %zu collection(s): %zu mismatches\n",
               rt.gc_history().size(), mismatches);
 

@@ -8,9 +8,9 @@
 // stall), collection counts, admission-control rejections and SLO
 // violations — and it never trusts a run it did not verify: the
 // conformance post-structure oracle runs after every collection cycle on
-// every shard, and the final cross-shard shadow-graph walk must come back
-// clean. Any oracle finding, read mismatch or validation diff makes heapd
-// exit nonzero.
+// every shard, and the final cross-shard walk of every session's mirror
+// must come back clean. Any oracle finding, read mismatch or validation
+// diff makes heapd exit nonzero.
 //
 // The sweep recipes from EXPERIMENTS.md:
 //   heapd --shards 8 --scheduler proactive --requests 50000 --seed 1
@@ -32,8 +32,8 @@
 //   * --deadline enables failover routing and load shedding.
 //   * --trace replays recorded hwgc-trace-v1 op streams (trace-per-session,
 //     session % files) instead of seeded churn, and read probes verify the
-//     recorded digests. It cannot combine with --supervise/--deadline:
-//     checkpoint restores would rewind roots under live trace cursors.
+//     recorded digests. Checkpoints capture the trace cursors like the
+//     churn ones, so --trace combines with --supervise/--deadline.
 //   * --profile-json and --flame imply --profile. --trace-json and --flame
 //     cover the first configuration only; --json and --profile-json cover
 //     the whole sweep (exemplar trace ids are offset per configuration, so
@@ -57,7 +57,7 @@
 #include "sim/flags.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace_export.hpp"
-#include "workloads/mutator.hpp"
+#include "trace/churn.hpp"
 
 namespace {
 
@@ -193,8 +193,8 @@ void parse_args(int argc, char** argv, Options& opt) {
   }
   if (opt.sessions == 0) t.fail("--sessions must be >= 1");
   // Trace mode sizes each shard's semispace from its traces; otherwise the
-  // shadow mutator needs room for one max-shape object.
-  const Word min_words = ShadowMutator::Config{}.max_object_words();
+  // churn needs room for one max-shape object.
+  const Word min_words = ChurnSource::Config{}.max_object_words();
   if (opt.trace_files.empty() && opt.heap_words < min_words) {
     t.fail("--heap-words must be >= " + std::to_string(min_words) +
            " (one max-shape object)");
@@ -211,10 +211,6 @@ void parse_args(int argc, char** argv, Options& opt) {
            "quarantined and restored)");
   }
   if (!opt.profile_json.empty() || !opt.flame.empty()) opt.profile = true;
-  if (!opt.trace_files.empty() && opt.resilience.enabled()) {
-    t.fail("--trace is incompatible with --supervise/--deadline (checkpoint "
-           "restores would rewind the root table under live trace cursors)");
-  }
 }
 
 ServiceConfig make_config(const Options& o, std::size_t shards,
@@ -335,10 +331,8 @@ bool run_config(const Options& o, const ServiceConfig& cfg,
   }
 
   // Cross-shard isolation proof: every shard's heap must still agree with
-  // its shadow model, fault-injected neighbors or not. Trace-driven
-  // sessions never run the shadow model, so there is nothing to walk.
-  const bool walked = cfg.traces == nullptr;
-  const std::size_t mismatches = walked ? service.validate_all_shards() : 0;
+  // its sessions' mirrors, fault-injected neighbors or not.
+  const std::size_t mismatches = service.validate_all_shards();
   bool ok = true;
   if (fleet.oracle_failures > 0) {
     ok = false;
@@ -368,11 +362,9 @@ bool run_config(const Options& o, const ServiceConfig& cfg,
   const std::string oracle =
       cfg.oracle ? "oracle on " + std::to_string(fleet.collections) + " cycles"
                  : std::string("oracle: off");
-  std::printf("  verification: %s (%s, cross-shard walk %s)\n\n",
+  std::printf("  verification: %s (%s, cross-shard walk clean=%s)\n\n",
               ok ? "OK" : "FAILED", oracle.c_str(),
-              !walked ? "not run: trace-driven sessions"
-              : mismatches == 0 ? "clean=yes"
-                                : "clean=NO");
+              mismatches == 0 ? "yes" : "NO");
 
   if (!o.json_path.empty()) {
     // Per-shard GC aggregates land in the bench-v1 section...

@@ -2,7 +2,7 @@
 //
 //   tracectl record --benchmark javac --out t.jsonl     # one benchmark shape
 //   tracectl record --fuzz-seed 77 --out t.jsonl        # adversarial graph
-//   tracectl record --churn-seed 7 --out t.jsonl        # shadow-mutator churn
+//   tracectl record --churn-seed 7 --out t.jsonl        # seeded churn
 //   tracectl record --lisp --out t.jsonl                # lisp session
 //   tracectl corpus [--dir traces]                      # regenerate corpus
 //   tracectl replay t.jsonl [--collector stealing|--all] [--seed N]
@@ -56,7 +56,7 @@ int cmd_record(int argc, char** argv) {
   t.value("--scale", scale, "benchmark live-set scale");
   t.value("--seed", seed, "benchmark seed");
   t.value("--fuzz-seed", fuzz_seed, "source: adversarial fuzz graph");
-  t.value("--churn-seed", churn_seed, "source: shadow-mutator churn");
+  t.value("--churn-seed", churn_seed, "source: seeded churn");
   t.value("--steps", steps, "churn steps");
   t.toggle("--lisp", lisp, "source: the lisp demo session");
   t.value("--fib", fib_n, "lisp fib argument");

@@ -232,7 +232,7 @@ class Runtime {
 
   /// Current heap address of a rooted reference. Only stable until the
   /// next collection — exposed for tests and debugging tools (e.g. the
-  /// shadow-mutator validation and the heap inspector example).
+  /// cursor's end-of-run walk and the heap inspector example).
   Addr address_of(Ref ref) const { return addr(ref); }
 
   /// Statistics of every collection cycle run so far.

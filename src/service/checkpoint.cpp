@@ -19,14 +19,14 @@ void mix_vec(Fnv1a& f, const std::vector<T>& v) noexcept {
 ShardCheckpoint ShardCheckpoint::capture(std::size_t shard,
                                          std::uint32_t sessions,
                                          const Runtime& rt,
-                                         const ShadowMutator& m,
+                                         const Cursors& cursors,
                                          std::uint64_t collections) {
   ShardCheckpoint cp;
   cp.shard = shard;
   cp.sessions = sessions;
   cp.collections_at = collections;
   cp.runtime = rt.save_image();
-  cp.mutator = m.save_image();
+  cp.cursors = cursors;
   cp.digest = cp.compute_digest();
   return cp;
 }
@@ -42,25 +42,18 @@ std::uint64_t ShardCheckpoint::compute_digest() const {
   mix_vec(f, runtime.roots);
   mix_vec(f, runtime.free_slots);
   f.mix(runtime.root_high_water);
-  for (std::uint64_t w : mutator.rng) f.mix(w);
-  f.mix(mutator.objs.size());
-  for (const ShadowMutator::ShadowObj& o : mutator.objs) {
-    f.mix(o.ref.slot_index());
-    f.mix(o.rooted ? 1 : 0);
-    f.mix(o.pi);
-    f.mix(o.delta);
-    mix_vec(f, o.children);
-    mix_vec(f, o.data);
+  f.mix(cursors.size());
+  for (const auto& [session, cursor] : cursors) {
+    f.mix(session);
+    f.mix(cursor.state_digest());
   }
-  mix_vec(f, mutator.live);
-  f.mix(mutator.allocations);
   return f.h;
 }
 
-bool ShardCheckpoint::restore_into(Runtime& rt, ShadowMutator& m) const {
+bool ShardCheckpoint::restore_into(Runtime& rt, Cursors& cursors_out) const {
   if (!verify()) return false;
   rt.restore_image(runtime);
-  m.restore_image(mutator);
+  cursors_out = cursors;
   return true;
 }
 

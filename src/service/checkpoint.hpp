@@ -7,8 +7,9 @@
 //   * the runtime image — allocated heap prefix, allocation frontier,
 //     root-table namespace with its freelist, root high-water mark
 //     (Runtime::Image);
-//   * the shadow-mutator graph — every shadow object, the live set, the
-//     RNG stream position, the allocation count (ShadowMutator::Image);
+//   * the shard's session cursors — each one's position, counters and
+//     per-id mirror, and for churn the RNG stream position and reachable
+//     ids (TraceCursor), so churn and trace sessions rewind alike;
 //   * session affinity — the session count whose (session % shards)
 //     pinning routed traffic here, so a restore provably resumes the same
 //     session partition;
@@ -17,7 +18,7 @@
 // Checkpoints are taken at VERIFIED-CLEAN cycle boundaries only: right
 // after a collection whose post-structure oracle reported no findings (the
 // conductor never checkpoints state it has not verified). Because heap and
-// shadow are captured at the same instant on the shard's own lane, the
+// cursors are captured at the same instant on the shard's own lane, the
 // pair is consistent by construction — no stop-the-fleet barrier needed.
 //
 // restore_into() recomputes the digest first and refuses a checkpoint that
@@ -27,22 +28,25 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 
 #include "runtime/runtime.hpp"
-#include "workloads/mutator.hpp"
+#include "trace/replayer.hpp"
 
 namespace hwgc {
 
 struct ShardCheckpoint {
+  using Cursors = std::map<std::uint32_t, TraceCursor>;
+
   std::size_t shard = 0;           ///< owning shard index
   std::uint32_t sessions = 0;      ///< session-affinity record
   std::uint64_t collections_at = 0; ///< GC cycles completed at capture
   Runtime::Image runtime;
-  ShadowMutator::Image mutator;
+  Cursors cursors;
   std::uint64_t digest = 0;        ///< FNV-1a 64 over everything above
 
   static ShardCheckpoint capture(std::size_t shard, std::uint32_t sessions,
-                                 const Runtime& rt, const ShadowMutator& m,
+                                 const Runtime& rt, const Cursors& cursors,
                                  std::uint64_t collections);
 
   /// Recomputes the digest from the stored state.
@@ -50,10 +54,10 @@ struct ShardCheckpoint {
 
   bool verify() const { return digest == compute_digest(); }
 
-  /// Digest-checked restore. Returns false — leaving rt and m untouched —
-  /// when the stored digest does not match the recomputed one (a corrupted
-  /// or tampered checkpoint must never be restored).
-  bool restore_into(Runtime& rt, ShadowMutator& m) const;
+  /// Digest-checked restore. Returns false — leaving rt and cursors
+  /// untouched — when the stored digest does not match the recomputed one
+  /// (a corrupted or tampered checkpoint must never be restored).
+  bool restore_into(Runtime& rt, Cursors& cursors) const;
 };
 
 }  // namespace hwgc

@@ -22,23 +22,23 @@ std::uint64_t shard_seed(std::uint64_t base, std::size_t shard) {
   return splitmix64(s);
 }
 
-/// Work volume per request kind, in mutator steps. Allocation-heavy
+/// Churn budget per request kind, in churn steps. Allocation-heavy
 /// requests churn more (sessions building state), releases less (teardown
-/// is cheap); the ShadowMutator's internal policy keeps the shadow graph
-/// consistent whatever the mix.
+/// is cheap), and a read is one read; the churn's own policy keeps the
+/// mirror consistent whatever the mix.
 std::uint32_t steps_for(RequestKind kind, std::uint32_t base) {
   switch (kind) {
     case RequestKind::kAllocate: return base + 2;
     case RequestKind::kMutate: return base;
     case RequestKind::kRelease: return base > 2 ? base / 2 : 1;
-    case RequestKind::kRead:
+    case RequestKind::kRead: return 1;
     case RequestKind::kCount: break;
   }
   return 0;
 }
 
-/// Trace mode: op budget per request kind — same shape bias as steps_for,
-/// scaled up because one trace op is much lighter than one mutator step.
+/// Trace budget per request kind, in ops — same shape bias as steps_for,
+/// scaled up because one trace op is much lighter than one churn step.
 std::size_t trace_ops_for(RequestKind kind, std::uint32_t base) {
   const std::size_t b = std::max<std::uint32_t>(base, 1);
   switch (kind) {
@@ -53,7 +53,8 @@ std::size_t trace_ops_for(RequestKind kind, std::uint32_t base) {
 
 }  // namespace
 
-/// One shard: a full Runtime + shadow model + virtual-time bookkeeping.
+/// One shard: a full Runtime + its sessions' cursors + virtual-time
+/// bookkeeping.
 /// Doubles as the runtime's CollectionObserver so scheduled AND
 /// exhaustion-triggered cycles get identical oracle + stall accounting.
 struct HeapService::ShardState final : CollectionObserver {
@@ -77,8 +78,11 @@ struct HeapService::ShardState final : CollectionObserver {
         rt(cfg.semispace_words, shard_sim_config(index_, cfg, storm),
            pauseless ? CollectorId::kSnapshot : CollectorId::kCoprocessor,
            one_worker()),
-        mutator(shard_mutator_config(index_, cfg)),
         oracle("shard " + std::to_string(index_) + ": ", 16) {
+    if (traces == nullptr) {
+      cursors.emplace(0, TraceCursor(ChurnSource(shard_churn_config(index_,
+                                                                    cfg))));
+    }
     rt.set_collection_observer(this);
     if (profiling) rt.enable_profiling();
     if (resilient) {
@@ -115,15 +119,15 @@ struct HeapService::ShardState final : CollectionObserver {
     return hc;
   }
 
-  static ShadowMutator::Config shard_mutator_config(std::size_t index,
-                                                    const ServiceConfig& cfg) {
-    ShadowMutator::Config m = cfg.traffic.mutator;
+  static ChurnSource::Config shard_churn_config(std::size_t index,
+                                               const ServiceConfig& cfg) {
+    ChurnSource::Config m = cfg.traffic.churn;
     m.seed = shard_seed(cfg.traffic.seed, index);
-    // The mutator's steady-state live set runs about 2× target_live objects
+    // The churn's steady-state live set runs about 2× target_live objects
     // of mean shape (interior links keep released roots reachable). Clamp
     // target_live so that fits in half the semispace — a shard whose live
-    // set alone exceeds capacity dies on "exhausted even after a
-    // collection", which no scheduler can prevent.
+    // set alone exceeds capacity fails its allocating requests on "heap
+    // exhausted even after a collection", which no scheduler can prevent.
     const Word mean_words =
         kHeaderWords + (m.max_pi + m.max_delta) / 2;
     const std::size_t cap = static_cast<std::size_t>(
@@ -189,13 +193,13 @@ struct HeapService::ShardState final : CollectionObserver {
   }
 
   void take_checkpoint() {
-    checkpoint = ShardCheckpoint::capture(index, sessions, rt, mutator,
+    checkpoint = ShardCheckpoint::capture(index, sessions, rt, cursors,
                                           stats.collections);
     ++stats.checkpoints;
     completed_since_checkpoint = 0;
   }
 
-  /// Quarantine response, on the shard's lane: rewinds heap + shadow to
+  /// Quarantine response, on the shard's lane: rewinds heap + cursors to
   /// the last verified-clean checkpoint (digest-checked) and occupies the
   /// shard until `ready`. Completions since the checkpoint are counted
   /// rolled_back; a digest mismatch refuses the restore (the shard then
@@ -203,7 +207,7 @@ struct HeapService::ShardState final : CollectionObserver {
   /// ladder already restored that — and the mismatch is counted).
   void run_restore(Cycle ready) {
     ++stats.restores;
-    if (checkpoint.has_value() && checkpoint->restore_into(rt, mutator)) {
+    if (checkpoint.has_value() && checkpoint->restore_into(rt, cursors)) {
       stats.rolled_back += completed_since_checkpoint;
     } else {
       ++stats.checkpoint_digest_failures;
@@ -222,12 +226,11 @@ struct HeapService::ShardState final : CollectionObserver {
     next_free = std::max(next_free, ready);
   }
 
-  bool trace_mode() const noexcept { return traces != nullptr; }
-
-  /// Lazily built per-session replay cursor (trace-per-session). Lives on
-  /// the shard's lane like every other shard-local state; std::map keeps
-  /// iteration deterministic should anyone ever walk it.
+  /// The cursor serving `session`: the shard's one churn cursor, or the
+  /// session's own replay cursor over traces[session % traces.size()],
+  /// built on first use.
   TraceCursor& session_cursor(std::uint32_t session) {
+    if (traces == nullptr) return cursors.begin()->second;
     auto it = cursors.find(session);
     if (it == cursors.end()) {
       const std::vector<Trace>& ts = *traces;
@@ -257,12 +260,14 @@ struct HeapService::ShardState final : CollectionObserver {
   const std::size_t exemplar_cap;
   const std::uint32_t checkpoint_interval;
   const std::uint32_t sessions;
-  /// Shared corpus keep-alive for trace mode (null = churn mode).
+  /// Shared corpus keep-alive for trace sessions (null = churn).
   const std::shared_ptr<const std::vector<Trace>> traces;
   Runtime rt;
-  ShadowMutator mutator;
   CycleOracle oracle;
-  std::map<std::uint32_t, TraceCursor> cursors;  ///< per-session replay
+  /// Session cursors, lane-owned: one churn cursor (key 0) or one replay
+  /// cursor per trace session. std::map keeps the walk and the checkpoint
+  /// digest in session order.
+  std::map<std::uint32_t, TraceCursor> cursors;
 
   Cycle next_free = 0;          ///< virtual cycle the backlog drains
   Cycle gc_backlog = 0;         ///< collection cycles inside the backlog
@@ -325,13 +330,6 @@ HeapService::HeapService(const ServiceConfig& cfg)
   if (cfg_.traces != nullptr) {
     if (cfg_.traces->empty()) {
       throw std::invalid_argument("HeapService: trace list is empty");
-    }
-    if (cfg_.resilience.enabled()) {
-      // A checkpoint restore rewinds the root table under the sessions'
-      // replay cursors, whose Refs would silently dangle.
-      throw std::invalid_argument(
-          "HeapService: trace-driven sessions cannot run with resilience "
-          "restores (cursor roots cannot be rewound)");
     }
     // Every session's live set is bounded by its trace's recorded semispace
     // (the trace was captured inside one). Sessions pinned to a shard share
@@ -464,51 +462,33 @@ void HeapService::execute_request(ShardState& sh, const Request& req,
 
   sh.pending_gc = 0;
   sh.pending_charges.clear();
-  std::uint32_t steps = 0;
-  std::size_t read_words = 0;
+  // Advance the session's cursor by the request's budget. Reads verify
+  // their digests as they go; collections (explicit hints and exhaustion)
+  // run through the shard's observer. Graceful degradation: an
+  // unrecoverable collection (every rung of the escalation ladder failed)
+  // or heap exhaustion kills THIS request, not the fleet. The heap still
+  // holds the recovery ladder's restored pre-cycle image and the cursor
+  // mirrors only the ops that completed, so shard state stays consistent;
+  // under supervision the supervisor quarantines and restores at the next
+  // conductor join.
+  TraceCursor& cursor = sh.session_cursor(req.session);
+  const bool read = req.kind == RequestKind::kRead;
+  const std::size_t budget =
+      cursor.generated()
+          ? steps_for(req.kind, traffic_.config().steps_per_request)
+          : trace_ops_for(req.kind, cfg_.trace_ops_per_request);
+  const std::uint64_t mismatches_before = cursor.read_mismatches();
+  std::size_t work = 0;
   bool failed = false;
-  if (sh.trace_mode()) {
-    // Trace-driven session: advance this session's cursor by the request's
-    // op budget. The cursor verifies recorded read digests as it goes;
-    // collections (explicit hints and exhaustion) run through the shard's
-    // normal observer, so oracle + stall accounting are identical to churn
-    // mode.
-    TraceCursor& cursor = sh.session_cursor(req.session);
-    const std::size_t budget =
-        trace_ops_for(req.kind, cfg_.trace_ops_per_request);
-    const std::uint64_t mismatches_before = cursor.read_mismatches();
-    std::size_t applied = 0;
-    try {
-      applied = cursor.apply(sh.rt, budget);
-    } catch (const std::runtime_error&) {
-      failed = true;
-      ++sh.failures;
-    }
-    sh.stats.read_mismatches += cursor.read_mismatches() - mismatches_before;
-    if (req.kind == RequestKind::kRead) {
-      read_words = applied;
-    } else {
-      steps = static_cast<std::uint32_t>(applied);
-    }
-  } else if (req.kind == RequestKind::kRead) {
-    std::size_t mismatches = 0;
-    read_words = sh.mutator.probe(sh.rt, &mismatches);
-    sh.stats.read_mismatches += mismatches;
-  } else {
-    steps = steps_for(req.kind, traffic_.config().steps_per_request);
-    // Graceful degradation: an unrecoverable collection (every rung of the
-    // escalation ladder failed) or heap exhaustion kills THIS request, not
-    // the fleet. The heap still holds the recovery ladder's restored
-    // pre-cycle image and the shadow was only mutated by fully completed
-    // steps, so shard state stays consistent; under supervision the
-    // supervisor quarantines and restores at the next conductor join.
-    try {
-      for (std::uint32_t i = 0; i < steps; ++i) sh.mutator.step(sh.rt);
-    } catch (const std::runtime_error&) {
-      failed = true;
-      ++sh.failures;
-    }
+  try {
+    work = cursor.apply(sh.rt, budget, read);
+  } catch (const std::runtime_error&) {
+    failed = true;
+    ++sh.failures;
   }
+  sh.stats.read_mismatches += cursor.read_mismatches() - mismatches_before;
+  const std::uint32_t steps = read ? 0 : static_cast<std::uint32_t>(work);
+  const std::size_t read_words = read ? work : 0;
   // Cycles of exhaustion-triggered collection during this request's own
   // execution (harvested from the observer).
   const Cycle own_gc = sh.take_pending_gc();
@@ -780,7 +760,11 @@ const Runtime& HeapService::runtime(std::size_t shard) const {
 
 std::size_t HeapService::validate_shard(std::size_t shard) {
   ShardState& s = *shards_.at(shard);
-  return s.mutator.validate(s.rt);
+  std::size_t mismatches = 0;
+  for (const auto& [session, cursor] : s.cursors) {
+    mismatches += cursor.validate(s.rt);
+  }
+  return mismatches;
 }
 
 std::size_t HeapService::validate_all_shards() {

@@ -6,10 +6,10 @@
 // budget. The service composes everything below it into that layer:
 //
 //   * N independent shards, each a full Runtime (own Heap, own root-table
-//     namespace, own simulated coprocessor) plus a ShadowMutator that
-//     models the shard's expected object graph — shards share NOTHING, so
-//     a fault or a collection on one cannot perturb a neighbor, and the
-//     cross-shard verifier can prove it;
+//     namespace, own simulated coprocessor) plus the TraceCursors of its
+//     sessions, whose mirrors model the shard's expected object graph —
+//     shards share NOTHING, so a fault or a collection on one cannot
+//     perturb a neighbor, and the cross-shard walk can prove it;
 //   * a seeded TrafficModel turning session requests (allocate / mutate /
 //     read / release) into shard work, open- or closed-loop;
 //   * a pluggable GcScheduler multiplexing collection across shards
@@ -52,7 +52,6 @@
 #include "sim/config.hpp"
 #include "sim/shard_pool.hpp"
 #include "trace/trace_format.hpp"
-#include "workloads/mutator.hpp"
 
 namespace hwgc {
 
@@ -117,19 +116,20 @@ struct ServiceConfig {
   };
   ProfileConfig profile{};
 
-  /// Trace-driven sessions (src/trace/): when set (non-empty), requests
-  /// replay recorded hwgc-trace-v1 op streams instead of seeded
-  /// ShadowMutator churn. Each session gets its own wrapping TraceCursor
-  /// over traces[session % traces.size()] — trace-per-session, scaled
-  /// across shards by the usual session-affinity pinning. Read probes in
-  /// the stream verify their recorded digests (mismatches land in
-  /// SloStats::read_mismatches), and the per-cycle oracle still checks
-  /// every collection. Deterministic like the churn engine: serial and
-  /// shard-pool runs stay byte-identical.
+  /// The source of every request's ops. Every request advances its
+  /// session's TraceCursor (src/trace/). Unset: each shard runs one cursor
+  /// over seeded churn (traffic.churn, seeded per shard). Set (non-empty):
+  /// each session gets its own wrapping cursor over
+  /// traces[session % traces.size()] — trace-per-session, scaled across
+  /// shards by the usual session-affinity pinning. Either way reads verify
+  /// their digests (mismatches land in SloStats::read_mismatches), the
+  /// per-cycle oracle checks every collection, checkpoints capture and
+  /// restore the cursors, and serial and shard-pool runs stay
+  /// byte-identical.
   std::shared_ptr<const std::vector<Trace>> traces;
 
-  /// Trace mode: baseline op budget per request; scaled by request kind
-  /// like steps_per_request (allocate-biased requests apply more ops).
+  /// Trace sessions: baseline op budget per request; scaled by request
+  /// kind like steps_per_request (allocate-biased requests apply more ops).
   std::uint32_t trace_ops_per_request = 16;
 
   /// Host threads executing shard work (simulation, not virtual time).
@@ -176,10 +176,11 @@ class HeapService {
   Cycle now() const noexcept { return now_; }
   std::uint64_t requests_offered() const noexcept { return offered_; }
 
-  /// Walks every shard's shadow graph against its heap; returns the total
-  /// mismatch count (0 = every shard's heap agrees with its model). THE
-  /// cross-shard isolation check: run it after a fault-injected run to
-  /// prove neighbor shards were not perturbed.
+  /// Walks every session cursor's mirror against its shard's heap
+  /// (TraceCursor::validate); returns the total mismatch count (0 = every
+  /// shard's heap agrees with its model). THE cross-shard isolation check:
+  /// run it after a fault-injected run to prove neighbor shards were not
+  /// perturbed.
   std::size_t validate_all_shards();
   std::size_t validate_shard(std::size_t shard);
 

@@ -2,12 +2,13 @@
 //
 // Models the traffic a multi-tenant runtime fleet actually serves:
 // sessions (think: user connections) pinned to shards by affinity, each
-// issuing allocate / mutate / read / release requests. The write-side
-// kinds are executed through the shard's ShadowMutator, so the shard keeps
-// a host-side model of its expected object graph and ANY number of
-// collection cycles can be validated against it; reads go through
-// ShadowMutator::probe, so every read request doubles as a data-integrity
-// check.
+// issuing allocate / mutate / read / release requests. Each request
+// advances its session's TraceCursor (trace/replayer.hpp): seeded churn
+// steps (trace/churn.hpp) or the ops of a recorded trace. The cursor keeps
+// a host-side mirror of the expected object graph, so ANY number of
+// collection cycles can be validated against it, and every read is
+// checked against the mirror's digest, so each read request doubles as a
+// data-integrity check.
 //
 // Arrival model, in simulated cycles:
 //   * open loop   — arrivals are independent of completions; interarrival
@@ -27,14 +28,14 @@
 
 #include "sim/rng.hpp"
 #include "sim/types.hpp"
-#include "workloads/mutator.hpp"
+#include "trace/churn.hpp"
 
 namespace hwgc {
 
 enum class RequestKind : std::uint8_t {
   kAllocate = 0,  ///< session creates state: allocation-biased churn
   kMutate,        ///< session updates state: link/unlink/data writes
-  kRead,          ///< read-only probe, verified against the shadow graph
+  kRead,          ///< read-only probe, verified against the mirror
   kRelease,       ///< session drops state: release-biased churn
   kCount
 };
@@ -71,9 +72,9 @@ struct TrafficConfig {
   double load = 1.0;
   Cycle mean_interarrival = 400;
 
-  /// Mutator steps a write-kind request executes (allocate and release
-  /// requests run the same count with their own churn bias inside
-  /// ShadowMutator; the kind mix below shapes the aggregate).
+  /// Churn steps a mutate request executes (allocate requests run two
+  /// more, release requests half; the kind mix below shapes the
+  /// aggregate). Trace sessions use ServiceConfig::trace_ops_per_request.
   std::uint32_t steps_per_request = 4;
 
   /// Request-kind mix, in units of 1/16 (must sum to <= 16; the remainder
@@ -84,11 +85,11 @@ struct TrafficConfig {
 
   /// Deterministic service-cost model, in cycles.
   Cycle request_base_cost = 60;  ///< fixed per-request overhead
-  Cycle step_cost = 24;          ///< per executed mutator step
+  Cycle step_cost = 24;          ///< per executed churn step or trace op
   Cycle read_word_cost = 2;      ///< per data word a read probe touches
 
-  /// Shape of the per-shard object graphs.
-  ShadowMutator::Config mutator{};
+  /// Shape of the per-shard churn graphs.
+  ChurnSource::Config churn{};
 };
 
 class TrafficModel {

@@ -1,6 +1,6 @@
 // FNV-1a 64, the one digest of the repository: trace op streams and read
-// probes (src/trace/), Runtime::read_probe and its shadow-side twin
-// ShadowMutator::data_digest, and the shard checkpoint seal
+// probes (src/trace/), Runtime::read_probe and the churn source's digest
+// of the cursor mirror it checks reads against, and the shard checkpoint seal
 // (src/service/checkpoint.cpp). A 64-bit value is folded as its eight
 // bytes, least significant first, so a 32-bit Word and its zero-extended
 // 64-bit value give the same digest.

@@ -2,9 +2,9 @@
 // parallel shard simulation (DESIGN.md §13).
 //
 // The heap service's shards are independent simulators: each owns its
-// Runtime, ShadowMutator and scheduler bookkeeping, and is bit-deterministic
-// from its seed. Cross-shard host parallelism therefore preserves the
-// serial semantics as long as
+// Runtime, session cursors and scheduler bookkeeping, and is
+// bit-deterministic from its seed. Cross-shard host parallelism therefore
+// preserves the serial semantics as long as
 //   (1) tasks for the SAME key run in submission order, one at a time
 //       (per-key FIFO), and
 //   (2) the submitter joins a key before reading that shard's state.

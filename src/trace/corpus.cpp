@@ -8,8 +8,8 @@
 
 #include "heap/object_model.hpp"
 #include "trace/recorder.hpp"
+#include "trace/replayer.hpp"
 #include "workloads/lisp.hpp"
-#include "workloads/mutator.hpp"
 
 namespace hwgc {
 
@@ -138,15 +138,11 @@ Trace trace_from_churn(std::uint64_t seed, std::size_t steps) {
   TraceRecorder recorder(header);
   recorder.attach(rt);
 
-  ShadowMutator::Config mc;
-  mc.seed = seed;
-  mc.target_live = 48;
-  ShadowMutator mut(mc);
-
+  TraceCursor churn(ChurnSource({.seed = seed, .target_live = 48}));
   const std::size_t phase = std::max<std::size_t>(steps / 4, 1);
   for (int p = 0; p < 4; ++p) {
-    mut.run(rt, phase);
-    for (int k = 0; k < 4; ++k) mut.probe(rt);
+    churn.apply(rt, phase);
+    churn.apply(rt, 4, /*read=*/true);
     rt.collect();
   }
 

@@ -8,8 +8,8 @@
 //   * adversarial graphs from the schedule fuzzer's generator (cycles,
 //     hubs, huge objects, mid-build mutation), with the fuzz case's
 //     hardware knobs carried into the trace header;
-//   * shadow-mutator churn (allocate/link/unlink/release across many
-//     collection cycles, with digest-verified read probes);
+//   * seeded churn (trace/churn.hpp: allocate/link/unlink/release across
+//     many collection cycles, with digest-verified reads);
 //   * a Lisp interpreter session (the jlisp stand-in running real
 //     programs against the Runtime façade).
 //
@@ -48,7 +48,7 @@ Trace trace_from_benchmark(BenchmarkId id, double scale = 0.002,
 Trace trace_from_fuzz_case(const FuzzCase& fc);
 Trace trace_from_fuzz_seed(std::uint64_t master_seed);
 
-/// Shadow-mutator churn: `steps` mutation steps with periodic read probes
+/// Seeded churn (ChurnSource): `steps` mutation steps with periodic reads
 /// and explicit collections interleaved.
 Trace trace_from_churn(std::uint64_t seed, std::size_t steps = 600);
 

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "sim/fnv.hpp"
 #include "trace/recorder.hpp"
@@ -34,6 +36,8 @@ TraceCursor::TraceCursor(const Trace* trace, bool wrap)
   }
 }
 
+TraceCursor::TraceCursor(ChurnSource churn) : churn_(std::move(churn)) {}
+
 std::uint64_t TraceCursor::live_ids() const noexcept {
   std::uint64_t n = 0;
   for (const auto& r : refs_) {
@@ -59,6 +63,76 @@ std::uint64_t TraceCursor::live_graph_digest(Runtime& rt) const {
   return h.h;
 }
 
+std::size_t TraceCursor::validate(Runtime& rt) const {
+  std::size_t mismatches = 0;
+  // Heap address of each id, as first reached by the walk.
+  std::vector<std::optional<Addr>> seen(refs_.size());
+  struct Visit {
+    std::uint64_t id;
+    Runtime::Ref ref;
+  };
+  std::vector<Visit> stack;
+  std::vector<Runtime::Ref> temps;
+  for (std::uint64_t id = 0; id < refs_.size(); ++id) {
+    if (!refs_[id].empty()) stack.push_back({id, refs_[id].back()});
+  }
+  while (!stack.empty()) {
+    const Visit v = stack.back();
+    stack.pop_back();
+    const Addr addr = rt.address_of(v.ref);
+    if (seen[v.id].has_value()) {
+      if (*seen[v.id] != addr) ++mismatches;  // aliasing broken
+      continue;
+    }
+    seen[v.id] = addr;
+    const std::vector<std::uint64_t>& children = children_[v.id];
+    const std::vector<Word>& data = data_[v.id];
+    if (rt.pi(v.ref) != children.size() || rt.delta(v.ref) != data.size()) {
+      ++mismatches;
+      continue;
+    }
+    for (Word j = 0; j < data.size(); ++j) {
+      if (rt.get_data(v.ref, j) != data[j]) ++mismatches;
+    }
+    for (Word f = 0; f < children.size(); ++f) {
+      const Runtime::Ref child = rt.load_ptr(v.ref, f);
+      if (children[f] == kNoTraceId) {
+        if (!child.is_null()) {
+          ++mismatches;
+          rt.release(child);
+        }
+        continue;
+      }
+      if (child.is_null()) {
+        ++mismatches;
+        continue;
+      }
+      temps.push_back(child);
+      stack.push_back({children[f], child});
+    }
+  }
+  for (Runtime::Ref r : temps) rt.release(r);
+  return mismatches;
+}
+
+std::uint64_t TraceCursor::state_digest() const {
+  Fnv1a h;
+  h.mix(pos_);
+  h.mix(read_mismatches_);
+  h.mix(explicit_collects_);
+  h.mix(refs_.size());
+  for (std::size_t id = 0; id < refs_.size(); ++id) {
+    h.mix(refs_[id].size());
+    for (Runtime::Ref r : refs_[id]) h.mix(r.slot_index());
+    h.mix(children_[id].size());
+    for (std::uint64_t c : children_[id]) h.mix(c);
+    h.mix(data_[id].size());
+    for (Word w : data_[id]) h.mix(w);
+  }
+  if (churn_) churn_->mix_state(h);
+  return h.h;
+}
+
 void TraceCursor::wrap_around(Runtime& rt) {
   for (auto& list : refs_) {
     for (Runtime::Ref ref : list) rt.release(ref);
@@ -66,13 +140,22 @@ void TraceCursor::wrap_around(Runtime& rt) {
   }
   refs_.clear();
   children_.clear();
+  data_.clear();
   pos_ = 0;
-  ++wraps_;
 }
 
-std::size_t TraceCursor::apply(Runtime& rt, std::size_t max_ops) {
+std::size_t TraceCursor::apply(Runtime& rt, std::size_t budget, bool read) {
+  if (churn_) {
+    if (!read) {
+      for (std::size_t i = 0; i < budget; ++i) churn_->step(*this, rt);
+      return budget;
+    }
+    std::size_t words = 0;
+    for (std::size_t i = 0; i < budget; ++i) words += churn_->read(*this, rt);
+    return words;
+  }
   std::size_t applied = 0;
-  while (applied < max_ops) {
+  while (applied < budget) {
     if (pos_ >= trace_->ops.size()) {
       if (!wrap_) break;
       wrap_around(rt);
@@ -92,13 +175,16 @@ void TraceCursor::apply_one(Runtime& rt, const TraceOp& op) {
           rt.alloc(word_operand(op, op.b), word_operand(op, op.c));
       refs_.emplace_back();
       children_.emplace_back(op.b, kNoTraceId);
+      data_.emplace_back(op.c, Word{0});
       refs_[op.a].push_back(ref);
       break;
     }
-    case TraceOp::Kind::kData:
-      rt.set_data(refs_[op.a].back(), word_operand(op, op.b),
-                  word_operand(op, op.c));
+    case TraceOp::Kind::kData: {
+      const Word value = word_operand(op, op.c);
+      rt.set_data(refs_[op.a].back(), word_operand(op, op.b), value);
+      data_[op.a][op.b] = value;
       break;
+    }
     case TraceOp::Kind::kLink:
       if (op.c == kNoTraceId) {
         rt.set_ptr_null(refs_[op.a].back(), word_operand(op, op.b));

@@ -21,40 +21,55 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "conformance/conformance.hpp"
 #include "conformance/harness.hpp"
 #include "runtime/runtime.hpp"
+#include "trace/churn.hpp"
 #include "trace/trace_format.hpp"
 
 namespace hwgc {
 
-/// Incremental trace application — the heapd session driver. Owns the
-/// per-id Ref table; apply() advances through the op stream in request-
-/// sized budgets. With wrapping enabled the cursor releases every live
-/// ref at end-of-trace and restarts (the released graph becomes garbage
-/// for the next cycle), so one finite trace models an arbitrarily long
-/// session deterministically.
+/// Incremental op application — the one session driver of the heap
+/// service, and the only code that calls the Runtime for a session. Its
+/// ops come from one of two sources: a recorded trace, applied in
+/// request-sized budgets, or a ChurnSource generating seeded churn step by
+/// step. Either way the cursor keeps the per-id mirror of the expected
+/// graph — live Refs in creation order, shape, links and data words — that
+/// every kRead digest, the end-of-run walk (validate) and the shard
+/// checkpoint rely on. With wrapping enabled a trace cursor releases every
+/// live ref at end-of-trace and restarts (the released graph becomes
+/// garbage for the next cycle), so one finite trace models an arbitrarily
+/// long session deterministically; a churn cursor never ends.
 class TraceCursor {
  public:
   /// `trace` must outlive the cursor (heapd keeps the corpus alive in the
   /// ServiceConfig; replay_trace keeps it on the stack).
   explicit TraceCursor(const Trace* trace, bool wrap = true);
 
-  /// Applies up to `max_ops` operations; returns the number applied
-  /// (short only when wrapping is off and the stream ends).
-  std::size_t apply(Runtime& rt, std::size_t max_ops);
+  /// A generated session: `churn` emits every op.
+  explicit TraceCursor(ChurnSource churn);
 
-  bool done() const noexcept {
-    return !wrap_ && pos_ >= trace_->ops.size();
-  }
-  std::uint64_t wraps() const noexcept { return wraps_; }
+  /// Applies up to `budget` units and returns the work done. A trace unit
+  /// is one op (short only when wrapping is off and the stream ends). A
+  /// churn unit is one step — steps that change nothing count too — or,
+  /// for a read request (`read`), one read, and the words read are
+  /// returned.
+  std::size_t apply(Runtime& rt, std::size_t budget, bool read = false);
+
+  bool generated() const noexcept { return churn_.has_value(); }
+  /// Reads whose heap words or digest differed from the expected ones
+  /// (one per read, however many words differed).
   std::uint64_t read_mismatches() const noexcept { return read_mismatches_; }
   std::uint64_t explicit_collects() const noexcept {
     return explicit_collects_;
   }
+
+  /// Ids allocated since the start (or the last wrap).
+  std::uint64_t ids() const noexcept { return refs_.size(); }
 
   /// Number of ids currently holding at least one live root.
   std::uint64_t live_ids() const noexcept;
@@ -65,18 +80,32 @@ class TraceCursor {
   /// replayed workload's observable state.
   std::uint64_t live_graph_digest(Runtime& rt) const;
 
+  /// Walks the heap from the rooted ids (a depth-first walk seeded in id
+  /// order) and compares every reachable object's shape, data words and
+  /// links, and the aliasing of shared objects, against the mirror.
+  /// Children are rooted through load_ptr and released after the walk.
+  /// Returns the number of mismatches (0 = heap and mirror agree).
+  std::size_t validate(Runtime& rt) const;
+
+  /// Checkpoint seal: FNV-1a 64 over the position, the counters, the
+  /// mirror and the churn state.
+  std::uint64_t state_digest() const;
+
  private:
+  friend class ChurnSource;
+
   void apply_one(Runtime& rt, const TraceOp& op);
   void wrap_around(Runtime& rt);
 
-  const Trace* trace_;
-  bool wrap_;
+  const Trace* trace_ = nullptr;
+  std::optional<ChurnSource> churn_;
+  bool wrap_ = false;
   std::size_t pos_ = 0;
-  std::uint64_t wraps_ = 0;
   std::uint64_t read_mismatches_ = 0;
   std::uint64_t explicit_collects_ = 0;
   std::vector<std::vector<Runtime::Ref>> refs_;       ///< per id, creation order
   std::vector<std::vector<std::uint64_t>> children_;  ///< link-stream mirror
+  std::vector<std::vector<Word>> data_;               ///< data-word mirror
 };
 
 struct ReplayConfig {

@@ -13,8 +13,8 @@
 #include "profile/cycle_profiler.hpp"
 #include "profile/profile_metrics.hpp"
 #include "runtime/runtime.hpp"
+#include "trace/replayer.hpp"
 #include "workloads/benchmarks.hpp"
-#include "workloads/mutator.hpp"
 
 namespace hwgc {
 namespace {
@@ -235,11 +235,9 @@ TEST(RuntimeProfiling, HistoryAlignsWithGcHistory) {
   rt.enable_profiling();
   EXPECT_TRUE(rt.profiling_enabled());
 
-  ShadowMutator::Config mcfg;
-  mcfg.seed = 3;
-  ShadowMutator mut(mcfg);
+  TraceCursor churn(ChurnSource({.seed = 3}));
   for (int i = 0; i < 3; ++i) {
-    mut.run(rt, 200);
+    churn.apply(rt, 200);
     rt.collect();
   }
   ASSERT_EQ(rt.profile_history().size(), rt.gc_history().size());
@@ -257,10 +255,8 @@ TEST(RuntimeProfiling, DisabledKeepsHistoryEmpty) {
   SimConfig cfg;
   cfg.coprocessor.num_cores = 4;
   Runtime rt(4096, cfg);
-  ShadowMutator::Config mcfg;
-  mcfg.seed = 3;
-  ShadowMutator mut(mcfg);
-  mut.run(rt, 200);
+  TraceCursor churn(ChurnSource({.seed = 3}));
+  churn.apply(rt, 200);
   rt.collect();
   EXPECT_FALSE(rt.profiling_enabled());
   EXPECT_TRUE(rt.profile_history().empty());

@@ -15,8 +15,8 @@
 #include "heap/verifier.hpp"
 #include "runtime/runtime.hpp"
 #include "sim/trace.hpp"
+#include "trace/replayer.hpp"
 #include "workloads/benchmarks.hpp"
-#include "workloads/mutator.hpp"
 
 namespace hwgc {
 namespace {
@@ -416,8 +416,8 @@ TEST(CycleOracle, HoldsFaultedRuntimeCyclesToTheFullContract) {
   Runtime rt(1024, cfg);
   CycleOracle oracle("", 64);
   rt.set_collection_observer(&oracle);
-  ShadowMutator m({.seed = 5, .target_live = 24});
-  for (int i = 0; i < 4000; ++i) m.step(rt);
+  TraceCursor churn(ChurnSource({.seed = 5, .target_live = 24}));
+  churn.apply(rt, 4000);
   rt.collect();
   ASSERT_GE(rt.gc_history().size(), 3u);
   ASSERT_EQ(rt.recovery_history().size(), rt.gc_history().size());
@@ -426,7 +426,7 @@ TEST(CycleOracle, HoldsFaultedRuntimeCyclesToTheFullContract) {
   EXPECT_GT(fired, 0u) << "faults must fire for this test to mean anything";
   EXPECT_EQ(oracle.failures(), 0u)
       << (oracle.findings().empty() ? "" : oracle.findings().front());
-  EXPECT_EQ(m.validate(rt), 0u);
+  EXPECT_EQ(churn.validate(rt), 0u);
 
   // One more cycle, its report's evacuation counter off by one. The
   // Runtime is not const, so writing through its report is defined.

@@ -1,11 +1,12 @@
-// Runtime facade + multi-cycle integration: the shadow mutator churns the
-// heap through many coprocessor collection cycles and the heap must agree
-// with the shadow graph afterwards — the strongest end-to-end property in
-// the suite (object identity, shape, data and links across moves).
+// Runtime facade + multi-cycle integration: seeded churn (a TraceCursor
+// over a ChurnSource) drives the heap through many coprocessor collection
+// cycles and the heap must agree with the cursor's mirror afterwards — the
+// strongest end-to-end property in the suite (object identity, shape, data
+// and links across moves).
 #include <gtest/gtest.h>
 
 #include "runtime/runtime.hpp"
-#include "workloads/mutator.hpp"
+#include "trace/replayer.hpp"
 
 namespace hwgc {
 namespace {
@@ -168,14 +169,14 @@ TEST_P(ShadowMutatorChurn, HeapMatchesShadowAfterManyCycles) {
   SimConfig cfg;
   cfg.coprocessor.num_cores = param.cores;
   Runtime rt(2200, cfg);  // small semispace: forces frequent collections
-  ShadowMutator mut({.seed = param.seed, .target_live = 48});
-  mut.run(rt, param.steps);
+  TraceCursor churn(ChurnSource({.seed = param.seed, .target_live = 48}));
+  EXPECT_EQ(churn.apply(rt, param.steps), param.steps);
   EXPECT_GE(rt.gc_history().size(), 3u)
       << "test must actually exercise several collection cycles";
-  EXPECT_EQ(mut.validate(rt), 0u);
+  EXPECT_EQ(churn.validate(rt), 0u);
   // And survive one more forced collection right after validation.
   rt.collect();
-  EXPECT_EQ(mut.validate(rt), 0u);
+  EXPECT_EQ(churn.validate(rt), 0u);
   for (const auto& cycle : rt.gc_history()) {
     EXPECT_TRUE(cycle.lock_order_violations.empty());
   }

@@ -172,7 +172,11 @@ TEST(HeapService, ExhaustionFailsRequestsNotTheFleet) {
 
   const SloStats fleet = service.fleet_stats();
   EXPECT_EQ(fleet.offered, 20000u);
-  EXPECT_GT(fleet.failed, 0u) << "the fleet must reach exhaustion";
+  // Pinned counts: a churn that drew differently after a failed allocation
+  // (or lost a step) would move all three.
+  EXPECT_EQ(fleet.failed, 109u) << "the fleet must reach exhaustion";
+  EXPECT_EQ(fleet.completed, 19891u);
+  EXPECT_EQ(fleet.collections, 185u);
   EXPECT_EQ(fleet.completed + fleet.rejected + fleet.failed, fleet.offered);
   EXPECT_EQ(fleet.oracle_failures, 0u);
   EXPECT_EQ(service.validate_all_shards(), 0u);

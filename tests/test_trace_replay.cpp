@@ -33,7 +33,6 @@
 #include "trace/corpus.hpp"
 #include "trace/recorder.hpp"
 #include "trace/replayer.hpp"
-#include "workloads/mutator.hpp"
 
 namespace hwgc {
 namespace {
@@ -77,7 +76,7 @@ bool stats_equal(const GcCycleStats& a, const GcCycleStats& b) {
   return true;
 }
 
-/// Records shadow-mutator churn while keeping the recording runtime's
+/// Records seeded churn while keeping the recording runtime's
 /// observable streams (GC stats, signal samples) for bit-identity checks.
 struct RecordedSession {
   Trace trace;
@@ -97,13 +96,10 @@ RecordedSession record_churn_session(std::uint64_t seed) {
   TraceRecorder recorder(header);
   recorder.attach(rt);
 
-  ShadowMutator::Config mc;
-  mc.seed = seed;
-  mc.target_live = 48;
-  ShadowMutator mut(mc);
+  TraceCursor churn(ChurnSource({.seed = seed, .target_live = 48}));
   for (int p = 0; p < 4; ++p) {
-    mut.run(rt, 150);
-    for (int k = 0; k < 4; ++k) mut.probe(rt);
+    churn.apply(rt, 150);
+    churn.apply(rt, 4, /*read=*/true);
     rt.collect();
   }
 
@@ -519,7 +515,7 @@ TEST(TraceFuzzBridge, EmittedTraceReproducesTheOracleVerdict) {
   }
 }
 
-// --- Read-event seam (ShadowMutator::probe through the facade) -----------
+// --- Read-event seam (churn reads through the facade) ---------------------
 
 TEST(TraceReadSeam, ProbeEventsAreRecordedWithContentDigests) {
   const RecordedSession session = record_churn_session(5);
@@ -532,8 +528,7 @@ TEST(TraceReadSeam, ProbeEventsAreRecordedWithContentDigests) {
       EXPECT_NE(op.c, 0u) << "probe digest missing";
     }
   }
-  EXPECT_GE(reads, 8u) << "ShadowMutator::probe reads not visible to the "
-                          "recorder seam";
+  EXPECT_GE(reads, 8u) << "churn reads not visible to the recorder seam";
   EXPECT_GE(with_content, 1u) << "no probe ever read data words";
 }
 
@@ -697,10 +692,35 @@ TEST(TraceService, TraceShardSizingBeyondWordRangeIsRejected) {
   EXPECT_THROW(HeapService{cfg}, std::invalid_argument);
 }
 
-TEST(TraceService, ResilienceAndTracesAreMutuallyExclusive) {
-  ServiceConfig cfg = trace_service_config(1);
-  cfg.resilience.supervise = true;
-  EXPECT_THROW(HeapService{cfg}, std::invalid_argument);
+TEST(TraceService, SupervisedSessionsRestoreAndStayClean) {
+  // Checkpoints carry the trace cursors, so a restore rewinds trace
+  // sessions exactly as it rewinds churn: crashes quarantine and restore
+  // stormed shards mid-trace, and every read, cycle and walk stays clean.
+  auto supervised = [](std::size_t host_threads) {
+    ServiceConfig cfg = trace_service_config(host_threads);
+    cfg.resilience.supervise = true;
+    cfg.resilience.checkpoint_interval = 2;
+    cfg.storm.shard_fraction = 0.5;
+    cfg.storm.crash_period = 200;
+    return cfg;
+  };
+  HeapService serial(supervised(1));
+  serial.serve(6000);
+  HeapService pooled(supervised(4));
+  pooled.serve(6000);
+
+  EXPECT_EQ(service_report_jsonl(serial, "trace"),
+            service_report_jsonl(pooled, "trace"));
+  const SloStats s = serial.fleet_stats();
+  EXPECT_GT(s.restores, 0u);
+  EXPECT_GT(s.checkpoints, serial.shard_count())
+      << "some restore must rewind to a checkpoint taken mid-session";
+  EXPECT_GT(s.collections, 0u);
+  EXPECT_EQ(s.read_mismatches, 0u);
+  EXPECT_EQ(s.oracle_failures, 0u);
+  EXPECT_EQ(s.checkpoint_digest_failures, 0u);
+  EXPECT_EQ(serial.validate_all_shards(), 0u);
+  EXPECT_EQ(pooled.validate_all_shards(), 0u);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
-// Workload substrate: graph plans, materialization and the eight
-// benchmark-shape generators.
+// Workload substrate: graph plans, materialization, the eight
+// benchmark-shape generators and the seeded churn source (a TraceCursor
+// over a ChurnSource).
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -7,8 +8,8 @@
 
 #include "heap/object_model.hpp"
 #include "runtime/runtime.hpp"
+#include "trace/replayer.hpp"
 #include "workloads/benchmarks.hpp"
-#include "workloads/mutator.hpp"
 #include "workloads/random_graph.hpp"
 
 namespace hwgc {
@@ -109,64 +110,113 @@ TEST(Benchmarks, RejectsNonPositiveScale) {
                std::invalid_argument);
 }
 
-// ShadowMutator::Config validation: impossible configurations must throw
+// ChurnSource::Config validation: impossible configurations must throw
 // at construction (or on the first step against an undersized heap), not
 // corrupt headers or die whenever the rng happens to draw the bad shape.
+// The suite names predate the churn source; they cover the same contracts.
 TEST(ShadowMutatorConfig, RejectsZeroTargetLive) {
-  ShadowMutator::Config cfg;
+  ChurnSource::Config cfg;
   cfg.target_live = 0;
-  EXPECT_THROW(ShadowMutator{cfg}, std::invalid_argument);
+  EXPECT_THROW(ChurnSource{cfg}, std::invalid_argument);
 }
 
 TEST(ShadowMutatorConfig, RejectsShapesBeyondHeaderEncoding) {
-  ShadowMutator::Config pi_too_big;
+  ChurnSource::Config pi_too_big;
   pi_too_big.max_pi = kMaxPi + 1;
-  EXPECT_THROW(ShadowMutator{pi_too_big}, std::invalid_argument);
+  EXPECT_THROW(ChurnSource{pi_too_big}, std::invalid_argument);
 
-  ShadowMutator::Config delta_too_big;
+  ChurnSource::Config delta_too_big;
   delta_too_big.max_delta = kMaxDelta + 1;
-  EXPECT_THROW(ShadowMutator{delta_too_big}, std::invalid_argument);
+  EXPECT_THROW(ChurnSource{delta_too_big}, std::invalid_argument);
 
-  ShadowMutator::Config at_limit;
+  ChurnSource::Config at_limit;
   at_limit.max_pi = kMaxPi;
   at_limit.max_delta = kMaxDelta;
-  EXPECT_NO_THROW(ShadowMutator{at_limit});
+  EXPECT_NO_THROW(ChurnSource{at_limit});
 }
 
 TEST(ShadowMutatorConfig, RejectsShapeThatCanNeverFitSemispace) {
   Runtime rt(64);
-  ShadowMutator::Config cfg;
+  ChurnSource::Config cfg;
   cfg.max_pi = 100;
   cfg.max_delta = 200;  // max-shape object: 302 words, far over capacity
-  ShadowMutator mut(cfg);
-  EXPECT_THROW(mut.step(rt), std::invalid_argument);
+  TraceCursor churn{ChurnSource(cfg)};
+  EXPECT_THROW(churn.apply(rt, 1), std::invalid_argument);
 
   Runtime big(1 << 14);
-  ShadowMutator ok(cfg);
-  EXPECT_NO_THROW(ok.run(big, 50));
+  TraceCursor ok{ChurnSource(cfg)};
+  EXPECT_NO_THROW(ok.apply(big, 50));
 }
 
 TEST(ShadowMutatorProbe, ReadsMatchShadowAcrossCollections) {
-  Runtime rt(2200);  // small semispace: probes span collection cycles
-  ShadowMutator mut({.seed = 3, .target_live = 48});
+  Runtime rt(2200);  // small semispace: reads span collection cycles
+  TraceCursor churn(ChurnSource({.seed = 3, .target_live = 48}));
   std::size_t words_read = 0;
-  std::size_t mismatches = 0;
   for (int i = 0; i < 900; ++i) {
-    mut.run(rt, 10);
-    words_read += mut.probe(rt, &mismatches);
+    churn.apply(rt, 10);
+    words_read += churn.apply(rt, 1, /*read=*/true);
   }
   EXPECT_GE(rt.gc_history().size(), 2u)
-      << "probes must have spanned collection cycles";
+      << "reads must have spanned collection cycles";
   EXPECT_GT(words_read, 0u);
-  EXPECT_EQ(mismatches, 0u);
+  EXPECT_EQ(churn.read_mismatches(), 0u);
 }
 
 TEST(ShadowMutatorProbe, ProbeWithoutMismatchPointerIsSafe) {
+  // A read before anything is rooted reads nothing; later reads count
+  // their words and every digest matches.
   Runtime rt(1 << 14);
-  ShadowMutator mut({.seed = 9, .target_live = 16});
-  EXPECT_EQ(mut.probe(rt), 0u) << "nothing rooted yet: nothing to read";
-  mut.run(rt, 200);
-  (void)mut.probe(rt);  // null mismatch counter must not crash
+  TraceCursor churn(ChurnSource({.seed = 9, .target_live = 16}));
+  EXPECT_EQ(churn.apply(rt, 1, /*read=*/true), 0u)
+      << "nothing rooted yet: nothing to read";
+  churn.apply(rt, 200);
+  churn.apply(rt, 8, /*read=*/true);
+  EXPECT_EQ(churn.read_mismatches(), 0u);
+}
+
+TEST(ChurnSource, DivergedReadCountsOneMismatch) {
+  // Every data word of every rooted object changes behind the churn's
+  // back. The first read that covers any words counts one mismatch,
+  // however many of its words differ; the walk counts every stale word.
+  Runtime rt(1 << 14);
+  TraceCursor churn(ChurnSource({.seed = 9, .target_live = 4}));
+  churn.apply(rt, 100);
+  Heap& heap = rt.heap();
+  for (Addr obj : heap.roots()) {
+    if (obj == kNullPtr) continue;
+    for (Word j = 0; j < heap.delta(obj); ++j) {
+      heap.set_data(obj, j, ~heap.data(obj, j));
+    }
+  }
+  std::size_t words = 0;
+  for (int i = 0; i < 64 && words == 0; ++i) {
+    words = churn.apply(rt, 1, /*read=*/true);
+  }
+  ASSERT_GT(words, 0u);
+  EXPECT_EQ(churn.read_mismatches(), 1u);
+  EXPECT_GE(churn.validate(rt), words);
+}
+
+TEST(ShadowMutator, TracksLiveRootedCount) {
+  Runtime rt(1 << 14);
+  TraceCursor churn(ChurnSource({.seed = 3, .target_live = 16}));
+  EXPECT_EQ(churn.live_ids(), 0u);
+  churn.apply(rt, 200);
+  EXPECT_GT(churn.live_ids(), 0u);
+  EXPECT_GT(churn.ids(), 0u);
+  EXPECT_EQ(churn.live_ids(), rt.live_roots());
+  EXPECT_EQ(churn.validate(rt), 0u);
+}
+
+TEST(ShadowMutator, DeterministicForSeed) {
+  Runtime rt1(1 << 14), rt2(1 << 14);
+  TraceCursor c1{ChurnSource({.seed = 9})}, c2{ChurnSource({.seed = 9})};
+  c1.apply(rt1, 500);
+  c2.apply(rt2, 500);
+  EXPECT_EQ(c1.ids(), c2.ids());
+  EXPECT_EQ(c1.live_ids(), c2.live_ids());
+  EXPECT_EQ(c1.state_digest(), c2.state_digest());
+  EXPECT_EQ(rt1.save_image().words, rt2.save_image().words);
 }
 
 TEST(RandomGraph, DeterministicAndInBounds) {
